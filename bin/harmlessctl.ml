@@ -856,8 +856,8 @@ let policy_check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "replay fuzzed packets through the policy interpreter, the \
-          compiled table on every backend, and the hand-written rules; \
+         "replay fuzzed packets through the policy interpreter and the \
+          compiled table on the spec-literal oracle and every backend; \
           exits nonzero on any divergence")
     Term.(
       const run_policy_check $ policy_check_cases_arg $ fuzz_seed_arg
@@ -868,8 +868,8 @@ let policy_cmd =
   Cmd.group
     (Cmd.info "policy"
        ~doc:
-         "compile NetKAT-lite policies to flow tables and prove them \
-          equivalent to the hand-written SS_2 apps")
+         "compile the SS_2 apps' NetKAT-lite policies to flow tables and \
+          check the tables against the policy interpreter")
     [ policy_compile_cmd; policy_check_cmd ]
 
 (* ---- gc: memory telemetry over the quickstart scenario ---- *)

@@ -31,7 +31,9 @@ let () =
     }
   in
   let ctrl = Sdnctl.Controller.create engine () in
-  Sdnctl.Controller.add_app ctrl (Sdnctl.Dmz.create policy ());
+  let dmz = Sdnctl.Dmz.fragment policy () in
+  Sdnctl.Controller.add_app ctrl
+    Sdnctl.Policy_app.(app (live ~name:"dmz" (fun () -> dmz)));
   ignore
     (Sdnctl.Controller.attach_switch ctrl
        (Harmless.Deployment.controller_switch deployment));

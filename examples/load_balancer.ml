@@ -23,19 +23,26 @@ let () =
     | Error msg -> failwith msg
   in
   let ctrl = Sdnctl.Controller.create engine () in
+  (* The balancer, falling back to plain L2 forwarding for everything
+     else: host i has MAC [host_mac i] behind port i. *)
+  let policy =
+    Policy.Syntax.orelse
+      (Sdnctl.Load_balancer.fragment ~vip_ip ~vip_mac ~ingress_port:client
+         ~backends:
+           (List.map
+              (fun b ->
+                {
+                  Sdnctl.Load_balancer.backend_mac = Harmless.Deployment.host_mac b;
+                  backend_ip = Harmless.Deployment.host_ip b;
+                  backend_port = b;
+                })
+              backends)
+         ())
+      (Sdnctl.Policy_app.l2_band
+         (List.init 6 (fun i -> (Harmless.Deployment.host_mac i, i))))
+  in
   Sdnctl.Controller.add_app ctrl
-    (Sdnctl.Load_balancer.create ~vip_ip ~vip_mac ~ingress_port:client
-       ~backends:
-         (List.map
-            (fun b ->
-              {
-                Sdnctl.Load_balancer.backend_mac = Harmless.Deployment.host_mac b;
-                backend_ip = Harmless.Deployment.host_ip b;
-                backend_port = b;
-              })
-            backends)
-       ());
-  Sdnctl.Controller.add_app ctrl (Sdnctl.L2_learning.create ());
+    Sdnctl.Policy_app.(app (live ~name:"load-balancer" (fun () -> policy)));
   ignore
     (Sdnctl.Controller.attach_switch ctrl
        (Harmless.Deployment.controller_switch deployment));

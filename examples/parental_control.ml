@@ -33,9 +33,17 @@ let () =
       ~blocked:[ (Harmless.Deployment.host_ip kid, games) ]
       ()
   in
+  (* The filter in front of plain L2 forwarding (host i has MAC
+     [host_mac i] behind port i); block/unblock recompile it and push
+     only the rules that changed. *)
+  let l2 = List.init 4 (fun i -> (Harmless.Deployment.host_mac i, i)) in
+  let live =
+    Sdnctl.Policy_app.live ~name:"parental-control" (fun () ->
+        Sdnctl.Parental_control.enforce pc (Sdnctl.Policy_app.l2_band l2))
+  in
   let ctrl = Sdnctl.Controller.create engine () in
-  Sdnctl.Controller.add_app ctrl (Sdnctl.Parental_control.app pc);
-  Sdnctl.Controller.add_app ctrl (Sdnctl.L2_learning.create ());
+  Sdnctl.Controller.add_app ctrl (Sdnctl.Parental_control.app pc live ~l2);
+  Sdnctl.Controller.add_app ctrl (Sdnctl.Policy_app.app live);
   ignore
     (Sdnctl.Controller.attach_switch ctrl
        (Harmless.Deployment.controller_switch deployment));

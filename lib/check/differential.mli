@@ -43,7 +43,7 @@ val apply_message :
     semantics (exactly as a [Msg] step does): bad table ids, table-full
     and unknown/duplicate group or meter ids are silently ignored;
     non-mod messages are no-ops.  Shared with {!Policy_equiv}, which
-    installs compiled and hand-written rule sets through it. *)
+    installs the rule sets it checks through it. *)
 
 val render_result : Openflow.Pipeline.result -> string
 (** The normalized form results are compared under: outputs with packet

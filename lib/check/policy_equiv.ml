@@ -6,9 +6,8 @@ module Syn = Policy.Syntax
 type spec = {
   spec_name : string;
   ports : int;
-  hand_tables : int;
-  hand_messages : Openflow.Of_message.t list;
   policy : Syn.t;
+  table : Openflow.Of_message.t list;
   mac_pool : Mac_addr.t list;
   ip_pool : Ipv4_addr.t list;
   l4_pool : int list;
@@ -29,23 +28,24 @@ type divergence = {
 
 let ip = Ipv4_addr.of_string
 let mac = Mac_addr.make_local
+let compiled policy = Policy.Compile.messages (Policy.Compile.compile policy)
 
 let dmz_spec () =
   let vm i = { Sdnctl.Dmz.vm_ip = ip (Printf.sprintf "10.0.0.%d" i);
                vm_mac = mac (0x20 + i); vm_port = i - 1 } in
   let vm1 = vm 1 and vm2 = vm 2 and vm3 = vm 3 in
-  let policy =
+  let dmz =
     { Sdnctl.Dmz.vms = [ vm1; vm2; vm3 ];
       allowed =
         [ (vm1.Sdnctl.Dmz.vm_ip, vm2.Sdnctl.Dmz.vm_ip);
           (vm1.Sdnctl.Dmz.vm_ip, vm3.Sdnctl.Dmz.vm_ip) ] }
   in
+  let policy = Sdnctl.Dmz.fragment dmz () in
   {
     spec_name = "dmz";
     ports = 4;
-    hand_tables = 1;
-    hand_messages = Sdnctl.Dmz.messages policy ();
-    policy = Sdnctl.Dmz.fragment policy ();
+    policy;
+    table = compiled policy;
     mac_pool =
       [ mac 0x21; mac 0x22; mac 0x23; Mac_addr.broadcast; mac 0x99 ];
     ip_pool = [ ip "10.0.0.1"; ip "10.0.0.2"; ip "10.0.0.3"; ip "192.0.2.1" ];
@@ -59,14 +59,14 @@ let lb_spec () =
           backend_mac = mac (0xb1 + i); backend_port = i + 1 })
   in
   let vip_ip = ip "10.9.0.9" and vip_mac = mac 0x91 in
+  let policy =
+    Sdnctl.Load_balancer.fragment ~vip_ip ~vip_mac ~ingress_port:0 ~backends ()
+  in
   {
     spec_name = "lb";
     ports = 4;
-    hand_tables = 1;
-    hand_messages =
-      Sdnctl.Load_balancer.messages ~vip_ip ~vip_mac ~ingress_port:0 ~backends ();
-    policy =
-      Sdnctl.Load_balancer.fragment ~vip_ip ~vip_mac ~ingress_port:0 ~backends ();
+    policy;
+    table = compiled policy;
     mac_pool =
       (vip_mac
       :: List.map (fun b -> b.Sdnctl.Load_balancer.backend_mac) backends)
@@ -90,12 +90,12 @@ let parental_spec () =
           (ip "10.5.0.1", "nosuch.example") ]
       ()
   in
+  let policy = Sdnctl.Parental_control.fragment t in
   {
     spec_name = "parental";
     ports = 3;
-    hand_tables = 1;
-    hand_messages = Sdnctl.Parental_control.messages t ();
-    policy = Sdnctl.Parental_control.fragment t;
+    policy;
+    table = compiled policy;
     mac_pool = [ mac 0x51; mac 0x52; Mac_addr.broadcast ];
     ip_pool =
       [ ip "10.5.0.1"; ip "10.5.0.2"; ip "10.5.0.3";
@@ -110,20 +110,21 @@ let ratelimit_spec () =
       { Sdnctl.Rate_limiter.subject = ip "10.7.0.2"; rate_kbps = 256; burst_kb = 8 } ]
   in
   let num_hosts = 4 in
-  let open Syn in
+  let policy =
+    (* Metered traffic the L2 band cannot forward must still bill the
+       meter. *)
+    Syn.seq
+      (Sdnctl.Rate_limiter.fragment ~limits ())
+      (Syn.orelse
+         (Sdnctl.Policy_app.l2_band
+            (List.init num_hosts (fun i -> (mac (i + 1), i))))
+         Syn.discard)
+  in
   {
     spec_name = "ratelimit";
     ports = 4;
-    hand_tables = 2;
-    hand_messages =
-      Sdnctl.Rate_limiter.messages ~limits ~goto_table:1 ()
-      @ Sdnctl.Rate_limiter.table1_messages ~num_hosts ();
-    policy =
-      (* Metered traffic that table 1 cannot forward must still bill the
-         meter, exactly like the hand-written Goto_table pipeline. *)
-      seq
-        (Sdnctl.Rate_limiter.fragment ~limits ())
-        (orelse (Sdnctl.Rate_limiter.table1_fragment ~num_hosts ()) discard);
+    policy;
+    table = compiled policy;
     mac_pool =
       List.init num_hosts (fun i -> mac (i + 1))
       @ [ Mac_addr.broadcast; mac 0x99 ];
@@ -133,12 +134,12 @@ let ratelimit_spec () =
 
 let gateway_spec () =
   let g = Sdnctl.Gateway.default () in
+  let policy = Sdnctl.Gateway.policy g in
   {
     spec_name = "gateway";
     ports = g.Sdnctl.Gateway.num_ports;
-    hand_tables = Sdnctl.Gateway.handwritten_tables;
-    hand_messages = Sdnctl.Gateway.handwritten_messages g;
-    policy = Sdnctl.Gateway.policy g;
+    policy;
+    table = compiled policy;
     mac_pool = Sdnctl.Gateway.macs g;
     ip_pool = Sdnctl.Gateway.ips g;
     l4_pool = Sdnctl.Gateway.l4_ports g;
@@ -172,10 +173,10 @@ let normalize ~in_port outputs =
 
 type runner = { rname : string; process : step -> P.output list }
 
-let oracle_runner name tables msgs =
-  let pipeline = P.create ~num_tables:tables () in
+let oracle_runner msgs =
+  let pipeline = P.create ~num_tables:1 () in
   List.iter (Differential.apply_message pipeline ~now_ns:0) msgs;
-  { rname = name;
+  { rname = "compiled:oracle";
     process =
       (fun s ->
         (Oracle.execute pipeline ~now_ns:s.now_ns ~in_port:s.in_port s.pkt)
@@ -199,12 +200,7 @@ let backend_runners msgs =
 let run_case case =
   let sp = case.spec in
   let interp = Policy.Interp.create sp.policy in
-  let compiled_msgs = Policy.Compile.messages (Policy.Compile.compile sp.policy) in
-  let runners =
-    oracle_runner "hand:oracle" sp.hand_tables sp.hand_messages
-    :: oracle_runner "compiled:oracle" 1 compiled_msgs
-    :: backend_runners compiled_msgs
-  in
+  let runners = oracle_runner sp.table :: backend_runners sp.table in
   let divergence = ref None in
   List.iteri
     (fun i s ->

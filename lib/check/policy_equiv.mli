@@ -1,27 +1,23 @@
 (** Differential equivalence testing of the policy compiler.
 
-    For each {e spec} — a scenario with a policy term, a hand-written
-    message sequence that is supposed to implement the same behaviour,
-    and value pools to fuzz from — a {e case} (a timed packet sequence)
-    is replayed through three implementations:
+    For each {e spec} — a scenario with a policy term, the single-table
+    rule set under test, and value pools to fuzz from — a {e case} (a
+    timed packet sequence) is replayed through:
 
     - the {b interpreter} ({!Policy.Interp}): the denotational ground
       truth, no flow table involved;
-    - the {b compiled table} ({!Policy.Compile.messages}) installed on an
-      oracle-driven pipeline {e and} on every backend in
-      {!Softswitch.Backends.all};
-    - the {b hand-written rules} installed on an oracle-driven pipeline
-      with however many tables the app composition needs.
+    - the {b rule set} installed on an oracle-driven pipeline
+      ({!Oracle}, the spec-literal OpenFlow interpreter) {e and} on every
+      backend in {!Softswitch.Backends.all}.  Every built-in spec's rule
+      set is its policy's compile ({!Policy.Compile.messages}).
 
     Every packet's output set is compared under a normalized rendering:
     outputs only (sorted, deduplicated, [IN_PORT] resolved to the ingress
     port) — table-miss flags and matched-rule lists are excluded because
-    the three implementations legitimately differ there (compiled tables
-    are total; the hand-written DMZ deny is an explicit rule while the
-    policy's is absence).  The first disagreement is a {e divergence};
-    divergences shrink greedily (packet steps removed while the
-    divergence persists) and serialize to a text repro file, exactly like
-    {!Differential}.
+    the interpreter has neither.  The first disagreement is a
+    {e divergence}; divergences shrink greedily (packet steps removed
+    while the divergence persists) and serialize to a text repro file,
+    exactly like {!Differential}.
 
     Specs are plain records, so a test can also build a custom one — e.g.
     pairing a policy with a deliberately broken rule set to prove the
@@ -30,9 +26,9 @@
 type spec = {
   spec_name : string;
   ports : int;  (** packets arrive on ports [0 .. ports-1] *)
-  hand_tables : int;  (** tables the hand-written rule set needs *)
-  hand_messages : Openflow.Of_message.t list;
   policy : Policy.Syntax.t;
+  table : Openflow.Of_message.t list;
+      (** the single-table rule set checked against [policy] *)
   mac_pool : Netpkt.Mac_addr.t list;
   ip_pool : Netpkt.Ipv4_addr.t list;
   l4_pool : int list;
@@ -44,7 +40,7 @@ type case = { spec : spec; steps : step list }
 type divergence = {
   impl : string;
       (** the implementation that disagreed with the interpreter:
-          ["hand:oracle"], ["compiled:oracle"] or ["compiled:<backend>"] *)
+          ["compiled:oracle"] or ["compiled:<backend>"] *)
   step_index : int;
   expected : string;  (** the interpreter's normalized output set *)
   actual : string;
@@ -56,8 +52,8 @@ type divergence = {
 val specs : unit -> spec list
 (** Fresh instances (the parental handle is mutable) of the five standard
     scenarios: each SS_2 app standalone — [dmz], [lb], [parental],
-    [ratelimit] (two hand-written tables: meters then L2) — plus the full
-    [gateway] composition from {!Sdnctl.Gateway}. *)
+    [ratelimit] (the meters over the L2 band) — plus the full [gateway]
+    composition from {!Sdnctl.Gateway}. *)
 
 val find_spec : string -> spec option
 

@@ -1,12 +1,12 @@
 (** Use case (b) of the paper: DMZ-style VM-level access policies in a
     multi-tenant cloud.  The controller knows where each VM sits (IP,
-    MAC, switch port) and an allow-list of VM pairs; everything is
-    installed proactively:
+    MAC, switch port) and an allow-list of VM pairs; the app is a policy
+    fragment, installed proactively through {!Policy_app}:
 
-    - each allowed (a, b) pair gets forward rules in both directions;
+    - each allowed (a, b) pair is forwarded in both directions;
     - ARP floods (hosts must resolve each other);
-    - all remaining IP traffic is dropped at a priority between the pair
-      rules and any L2 base app, so policy wins over learning. *)
+    - all remaining traffic is dropped by the compiled table's
+      catch-all. *)
 
 type vm = {
   vm_ip : Netpkt.Ipv4_addr.t;
@@ -20,26 +20,13 @@ type policy = {
       (** unordered pairs; traffic is allowed both ways *)
 }
 
-val create : policy -> ?priority:int -> unit -> Controller.app
-(** Pair rules at [priority] (default 2000), ARP flood at [priority - 200],
-    the IP drop fence at [priority - 400].
-    @raise Invalid_argument if an allowed pair names an unknown VM. *)
-
-val messages :
-  policy -> ?table_id:int -> ?in_ports:int list -> ?priority:int -> unit ->
-  Openflow.Of_message.t list
-(** The exact message sequence {!create} pushes on switch-up, as a pure
-    value (default table 0, unscoped, priority 2000).  [in_ports] scopes
-    every rule to those ingress ports (one copy per port) so the app can
-    be composed with others on a shared switch.
-    @raise Invalid_argument as {!create} does. *)
-
 val fragment :
   policy -> ?in_ports:int list -> unit -> Policy.Syntax.t
-(** The same behaviour as a policy-algebra fragment: a union of pair
-    forwards plus the ARP flood.  The default-deny fence is implicit —
-    unmatched packets already produce the empty set.
-    @raise Invalid_argument as {!create} does. *)
+(** The app: a union of pair forwards plus the ARP flood, scoped to
+    the [in_ports] ingress ports when given so it can share a switch
+    with other apps.  The default-deny fence is implicit — unmatched
+    packets already produce the empty set.
+    @raise Invalid_argument if an allowed pair names an unknown VM. *)
 
 val allows : policy -> Netpkt.Ipv4_addr.t -> Netpkt.Ipv4_addr.t -> bool
 (** Whether the policy permits traffic between two addresses (symmetric;

@@ -1,6 +1,6 @@
 (** Use case (a) of the paper: an in-network load balancer.  Ingress web
     traffic addressed to a virtual IP is spread over backends by flow
-    hash (an OpenFlow [Select] group, so a flow's packets stick to one
+    hash (a [Select] group, so a flow's packets stick to one
     backend — the "matching of the source IP address" behaviour of the
     demo), with destination MAC/IP rewritten per backend; return traffic
     is rewritten back to the VIP and sent to the ingress port. *)
@@ -11,35 +11,6 @@ type backend = {
   backend_port : int;  (** switch port the backend is reached through *)
 }
 
-val create :
-  vip_ip:Netpkt.Ipv4_addr.t ->
-  vip_mac:Netpkt.Mac_addr.t ->
-  ingress_port:int ->
-  backends:backend list ->
-  ?group_id:int ->
-  ?priority:int ->
-  unit ->
-  Controller.app
-(** Installs everything proactively on switch-up.  Defaults: group 1,
-    priority 2000 (above the L2 base app). *)
-
-val messages :
-  vip_ip:Netpkt.Ipv4_addr.t ->
-  vip_mac:Netpkt.Mac_addr.t ->
-  ingress_port:int ->
-  backends:backend list ->
-  ?group_id:int ->
-  ?priority:int ->
-  ?table_id:int ->
-  ?vip_in_ports:int list ->
-  unit ->
-  Openflow.Of_message.t list
-(** The exact message sequence {!create} pushes (group mod first, then the
-    VIP rule, then return rules), as a pure value.  [vip_in_ports] scopes
-    the VIP rule to those ingress ports — return rules are already
-    port-scoped by construction.
-    @raise Invalid_argument on an empty backend list. *)
-
 val fragment :
   vip_ip:Netpkt.Ipv4_addr.t ->
   vip_mac:Netpkt.Mac_addr.t ->
@@ -48,7 +19,10 @@ val fragment :
   ?vip_in_ports:int list ->
   unit ->
   Policy.Syntax.t
-(** The same behaviour as a policy fragment: VIP traffic hash-balanced
-    over the backends ([Balance]), with return-traffic rewrites as the
-    fallback branch.
+(** The app as a policy fragment, installed through {!Policy_app}: VIP
+    traffic hash-balanced over the backends ([Balance], compiled to a
+    [Select] group), return-traffic rewrites as the fallback branch, and
+    ARP flooded on the app's own ports.  [vip_in_ports] scopes the VIP
+    branch to those ingress ports — the return branch is already
+    port-scoped by construction.
     @raise Invalid_argument on an empty backend list. *)

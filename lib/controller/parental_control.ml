@@ -4,13 +4,15 @@ open Openflow
 type t = {
   sites : (string * Ipv4_addr.t) list;
   mutable blocked : (Ipv4_addr.t * string) list;
-  priority : int;
-  mutable dpids : int64 list;
+  (* Verdicts of sniffed requests: (user, host, server) — the server
+     stays blocked for the user until the host is unblocked. *)
+  mutable pinned : (Ipv4_addr.t * string * Ipv4_addr.t) list;
+  mutable live : Policy_app.t option;
   mutable sniffed_drops : int;
 }
 
-let create ?(sites = []) ~blocked ?(priority = 2200) () =
-  { sites; blocked; priority; dpids = []; sniffed_drops = 0 }
+let create ?(sites = []) ~blocked () =
+  { sites; blocked; pinned = []; live = None; sniffed_drops = 0 }
 
 let is_blocked t ~user ~host =
   List.exists
@@ -25,23 +27,6 @@ let site_ip t host =
     (fun (h, ip) -> if String.equal h host then Some ip else None)
     t.sites
 
-let drop_match ~user ~site =
-  Of_match.(
-    any
-    |> eth_type 0x0800
-    |> ip_proto 6
-    |> ip_src (Ipv4_addr.Prefix.make user 32)
-    |> ip_dst (Ipv4_addr.Prefix.make site 32)
-    |> l4_dst 80)
-
-let sniff_match ~user =
-  Of_match.(
-    any
-    |> eth_type 0x0800
-    |> ip_proto 6
-    |> ip_src (Ipv4_addr.Prefix.make user 32)
-    |> l4_dst 80)
-
 (* Users with at least one blocked host we cannot resolve need the
    controller to see their HTTP requests. *)
 let needs_sniffing t user =
@@ -49,42 +34,18 @@ let needs_sniffing t user =
     (fun (u, h) -> Ipv4_addr.equal u user && Option.is_none (site_ip t h))
     t.blocked
 
-let messages_for_user t ?(table_id = 0) user =
-  List.filter_map
-    (fun (u, host) ->
-      if Ipv4_addr.equal u user then
-        match site_ip t host with
-        | Some site ->
-            Some
-              (Of_message.Flow_mod
-                 (Of_message.add_flow ~table_id ~priority:t.priority
-                    ~match_:(drop_match ~user ~site)
-                    [ Flow_entry.Apply_actions [ Of_action.Drop ] ]))
-        | None -> None
-      else None)
-    t.blocked
-  @
-  if needs_sniffing t user then
-    [
-      Of_message.Flow_mod
-        (Of_message.add_flow ~table_id ~priority:(t.priority - 100)
-           ~match_:(sniff_match ~user)
-           [
-             Flow_entry.Apply_actions
-               [ Of_action.Output (Of_action.Controller 0) ];
-           ]);
-    ]
-  else []
-
 let users t = List.sort_uniq Ipv4_addr.compare (List.map fst t.blocked)
 
-let messages t ?table_id () =
-  List.concat_map (messages_for_user t ?table_id) (users t)
-
-let install_for_user t ctrl dpid user =
-  Controller.send_all ctrl dpid (messages_for_user t user)
-
-let install_all t ctrl dpid = List.iter (install_for_user t ctrl dpid) (users t)
+let drop_pred ~user ~site =
+  let open Policy.Syntax in
+  conj
+    [
+      eth_type_is 0x0800;
+      ip_proto_is 6;
+      ip_src_is user;
+      ip_dst_is site;
+      l4_dst_is 80;
+    ]
 
 let blocked_pred t =
   let open Policy.Syntax in
@@ -94,20 +55,11 @@ let blocked_pred t =
          List.filter_map
            (fun (u, host) ->
              if Ipv4_addr.equal u user then
-               Option.map
-                 (fun site ->
-                   conj
-                     [
-                       eth_type_is 0x0800;
-                       ip_proto_is 6;
-                       ip_src_is user;
-                       ip_dst_is site;
-                       l4_dst_is 80;
-                     ])
-                 (site_ip t host)
+               Option.map (fun site -> drop_pred ~user ~site) (site_ip t host)
              else None)
            t.blocked)
-       (users t))
+       (users t)
+    @ List.map (fun (user, _, site) -> drop_pred ~user ~site) t.pinned)
 
 let sniff_pred t =
   let open Policy.Syntax in
@@ -128,84 +80,59 @@ let sniff_pred t =
 
 let fragment t =
   let open Policy.Syntax in
-  (* Proactive drops are absence; only the sniff path emits — guarded by
-     the drops, which outrank it in the hand-written table. *)
   seq
     (filter (And (Not (blocked_pred t), sniff_pred t)))
     (to_controller ())
 
-let app t =
-  let switch_up ctrl dpid =
-    t.dpids <- dpid :: t.dpids;
-    install_all t ctrl dpid
-  in
+let enforce t forwarding =
+  let open Policy.Syntax in
+  seq
+    (filter (neg (blocked_pred t)))
+    (orelse (seq (filter (sniff_pred t)) (to_controller ())) forwarding)
+
+let refresh t ctrl =
+  Option.iter (fun live -> Policy_app.update live ctrl) t.live
+
+let app t live ~l2 =
+  t.live <- Some live;
   let packet_in ctrl dpid ~in_port _reason (pkt : Packet.t) =
     match pkt.Packet.l3 with
-    | Packet.Ip { Ipv4.src; payload = Ipv4.Tcp seg; _ } when seg.Tcp.dst_port = 80
-      -> (
+    | Packet.Ip { Ipv4.src; dst; payload = Ipv4.Tcp seg; _ }
+      when seg.Tcp.dst_port = 80 -> (
         match Http_lite.host_of_payload seg.Tcp.payload with
         | Some host when is_blocked t ~user:src ~host ->
             t.sniffed_drops <- t.sniffed_drops + 1;
             (* Pin the verdict so later packets of this flow drop in the
-               dataplane. *)
-            (match pkt.Packet.l3 with
-            | Packet.Ip { Ipv4.dst; _ } ->
-                Controller.install ctrl dpid
-                  (Of_message.add_flow ~priority:t.priority
-                     ~match_:(drop_match ~user:src ~site:dst)
-                     [ Flow_entry.Apply_actions [ Of_action.Drop ] ])
-            | Packet.Arp _ | Packet.Raw _ -> ());
-            true (* consumed: the request dies here *)
+               dataplane; the request itself dies here. *)
+            if not (List.mem (src, host, dst) t.pinned) then begin
+              t.pinned <- t.pinned @ [ (src, host, dst) ];
+              refresh t ctrl
+            end;
+            true
         | Some _ | None ->
-            (* Allowed (or unparseable): hand on so the L2 base app
-               forwards it. *)
-            ignore ctrl;
-            ignore in_port;
-            false)
+            let out =
+              match
+                List.find_opt (fun (mac, _) -> Mac_addr.equal mac pkt.Packet.dst) l2
+              with
+              | Some (_, port) -> Of_action.output port
+              | None -> Of_action.Output Of_action.Flood
+            in
+            Controller.packet_out ctrl dpid ~in_port ~actions:[ out ] pkt;
+            true)
     | Packet.Ip _ | Packet.Arp _ | Packet.Raw _ -> false
   in
-  { (Controller.no_op_app "parental-control") with Controller.switch_up; packet_in }
-
-let reinstall t ctrl =
-  List.iter (fun dpid -> install_all t ctrl dpid) t.dpids
+  { (Controller.no_op_app "parental-control") with Controller.packet_in }
 
 let block t ctrl ~user ~host =
   if not (is_blocked t ~user ~host) then begin
     t.blocked <- (user, host) :: t.blocked;
-    List.iter
-      (fun dpid ->
-        match site_ip t host with
-        | Some site ->
-            Controller.install ctrl dpid
-              (Of_message.add_flow ~priority:t.priority
-                 ~match_:(drop_match ~user ~site)
-                 [ Flow_entry.Apply_actions [ Of_action.Drop ] ])
-        | None ->
-            Controller.install ctrl dpid
-              (Of_message.add_flow ~priority:(t.priority - 100)
-                 ~match_:(sniff_match ~user)
-                 [ Flow_entry.Apply_actions [ Of_action.Output (Of_action.Controller 0) ] ]))
-      t.dpids
+    refresh t ctrl
   end
 
 let unblock t ctrl ~user ~host =
   if is_blocked t ~user ~host then begin
-    t.blocked <-
-      List.filter
-        (fun (u, h) -> not (Ipv4_addr.equal u user && String.equal h host))
-        t.blocked;
-    List.iter
-      (fun dpid ->
-        (match site_ip t host with
-        | Some site ->
-            Controller.install ctrl dpid
-              (Of_message.delete_flow ~strict:true ~priority:t.priority
-                 (drop_match ~user ~site))
-        | None -> ());
-        if not (needs_sniffing t user) then
-          Controller.install ctrl dpid
-            (Of_message.delete_flow ~strict:true ~priority:(t.priority - 100)
-               (sniff_match ~user)))
-      t.dpids;
-    reinstall t ctrl
+    let entry u h = Ipv4_addr.equal u user && String.equal h host in
+    t.blocked <- List.filter (fun (u, h) -> not (entry u h)) t.blocked;
+    t.pinned <- List.filter (fun (u, h, _) -> not (entry u h)) t.pinned;
+    refresh t ctrl
   end

@@ -1,16 +1,17 @@
 (** Use case (c) of the paper: per-user web-page blocking, changeable
     on-the-fly.
 
-    Two enforcement paths:
+    Two enforcement paths, both part of the policy term ({!enforce}):
     - {b proactive}: when the blocked site's address is known (it appears
-      in [sites]), a drop rule for (user, site, TCP/80) is installed;
+      in [sites]), the (user, site, TCP/80) traffic is dropped;
     - {b reactive}: otherwise the user's HTTP traffic is steered to the
-      controller, which sniffs the [Host] header of each GET; blocked
-      requests are dropped (and an exact drop rule installed), allowed
-      ones are forwarded on.
+      controller, which sniffs the [Host] header of each GET; a blocked
+      request is dropped and its (user, server) pair pinned into the
+      drop set, an allowed one is sent on.
 
-    {!block} and {!unblock} update a running deployment — the "deny access
-    on-the-fly" part of the demo. *)
+    {!block} and {!unblock} update a running deployment through the
+    {!Policy_app} update path — the "deny access on-the-fly" part of the
+    demo. *)
 
 type t
 (** The app's mutable control handle. *)
@@ -18,37 +19,44 @@ type t
 val create :
   ?sites:(string * Netpkt.Ipv4_addr.t) list ->
   blocked:(Netpkt.Ipv4_addr.t * string) list ->
-  ?priority:int ->
   unit ->
   t
 (** [sites] maps hostnames to server addresses (the controller's "DNS").
-    [blocked] is the initial (user-IP, hostname) deny list.  Default
-    priority 2200. *)
-
-val app : t -> Controller.app
-
-val messages : t -> ?table_id:int -> unit -> Openflow.Of_message.t list
-(** The proactive rule set {!app} installs on switch-up (per user in
-    address order: resolvable drops in [blocked] order, then the sniff
-    rule if any host is unresolvable), as a pure value.  Default table 0. *)
+    [blocked] is the initial (user-IP, hostname) deny list. *)
 
 val blocked_pred : t -> Policy.Syntax.pred
-(** Matches exactly the traffic the proactive drop rules kill. *)
+(** Matches the traffic the app drops in the dataplane: HTTP from a user
+    to a blocked site's known address, and to every server a sniffed
+    request pinned. *)
 
 val sniff_pred : t -> Policy.Syntax.pred
 (** Matches the HTTP traffic of users needing controller sniffing. *)
 
 val fragment : t -> Policy.Syntax.t
-(** Dataplane behaviour as a policy fragment:
-    [filter (not blocked && sniff); to_controller].  Proactive drops are
-    absence in the algebra; the reactive packet-in logic stays in {!app}
-    and is shared by both implementations. *)
+(** The app alone as a policy fragment:
+    [filter (not blocked && sniff); to_controller].  Drops are absence
+    here; {!enforce} makes them explicit in front of a forwarding
+    policy. *)
+
+val enforce : t -> Policy.Syntax.t -> Policy.Syntax.t
+(** [enforce t forwarding]: blocked traffic dropped, sniffed HTTP to the
+    controller, everything else handed to [forwarding]. *)
+
+val app :
+  t -> Policy_app.t -> l2:(Netpkt.Mac_addr.t * int) list -> Controller.app
+(** The sniffing half: handles the HTTP packet-ins of {!sniff_pred}.
+    The {!Policy_app.t} must be the installed policy that {!enforce}s
+    this handle; {!block}, {!unblock} and pinned verdicts update it.
+    An allowed sniffed request is sent out of the port [l2] (the
+    policy's L2 band) gives its destination MAC, or flooded if the MAC
+    is not listed. *)
 
 val block : t -> Controller.t -> user:Netpkt.Ipv4_addr.t -> host:string -> unit
-(** Add a deny entry and install it on every connected switch. *)
+(** Add a deny entry and push the updated policy. *)
 
 val unblock : t -> Controller.t -> user:Netpkt.Ipv4_addr.t -> host:string -> unit
-(** Remove the entry and the switch rules enforcing it. *)
+(** Remove the entry, and the verdicts pinned for it, and push the
+    updated policy. *)
 
 val is_blocked : t -> user:Netpkt.Ipv4_addr.t -> host:string -> bool
 val blocked_list : t -> (Netpkt.Ipv4_addr.t * string) list

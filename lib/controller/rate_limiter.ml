@@ -7,48 +7,13 @@ type limit = {
   burst_kb : int;
 }
 
-let subject_match limit =
-  Of_match.(
-    any |> eth_type 0x0800 |> ip_src (Ipv4_addr.Prefix.make limit.subject 32))
-
-let messages ~limits ?(priority = 2000) ?(table_id = 0) ?(goto_table = 1) () =
-  List.concat
-    (List.mapi
-       (fun i limit ->
-         let meter_id = i + 1 in
-         [
-           Of_message.Meter_mod
-             (Of_message.Add_meter
-                {
-                  id = meter_id;
-                  band =
-                    {
-                      Meter_table.rate_kbps = limit.rate_kbps;
-                      burst_kb = limit.burst_kb;
-                    };
-                });
-           Of_message.Flow_mod
-             (Of_message.add_flow ~table_id ~priority
-                ~match_:(subject_match limit)
-                [
-                  Flow_entry.Meter meter_id; Flow_entry.Goto_table goto_table;
-                ]);
-         ])
-       limits)
-  (* Everything else skips the meters. *)
-  @ [
-      Of_message.Flow_mod
-        (Of_message.add_flow ~table_id ~priority:1 ~match_:Of_match.any
-           [ Flow_entry.Goto_table goto_table ]);
-    ]
-
 let fragment ~limits () =
   let open Policy.Syntax in
   let subject_pred limit =
     conj [ eth_type_is 0x0800; ip_src_is limit.subject ]
   in
-  (* Exactly one branch applies per packet: a per-subject meter (the
-     hand-written table-0 rules) or the unmetered pass-through. *)
+  (* Exactly one branch applies per packet: a per-subject meter or the
+     unmetered pass-through. *)
   unions
     (List.mapi
        (fun i limit ->
@@ -58,12 +23,6 @@ let fragment ~limits () =
               ~burst_kb:limit.burst_kb))
        limits
     @ [ filter (neg (disj (List.map subject_pred limits))) ])
-
-let create ~limits ?(priority = 2000) () =
-  let switch_up ctrl dpid =
-    Controller.send_all ctrl dpid (messages ~limits ~priority ())
-  in
-  { (Controller.no_op_app "rate-limiter") with Controller.switch_up }
 
 let table1_messages ~num_hosts ?(table_id = 1) () =
   Of_message.Flow_mod
@@ -75,17 +34,6 @@ let table1_messages ~num_hosts ?(table_id = 1) () =
            (Of_message.add_flow ~table_id ~priority:1000
               ~match_:Of_match.(any |> eth_dst (Mac_addr.make_local (i + 1)))
               [ Flow_entry.Apply_actions [ Of_action.output i ] ]))
-
-let table1_fragment ~num_hosts () =
-  let open Policy.Syntax in
-  (* The ARP flood outranks the MAC forwards in the hand-written table and
-     their matches overlap (the forwards carry no eth_type test), so the
-     bands chain by fallback rather than union. *)
-  orelse
-    (seq (filter (eth_type_is 0x0806)) flood)
-    (unions
-       (List.init num_hosts (fun i ->
-            seq (filter (eth_dst_is (Mac_addr.make_local (i + 1)))) (fwd i))))
 
 let table1_l2 ~num_hosts =
   let switch_up ctrl dpid =

@@ -7,9 +7,8 @@
     {!Telemetry.Timeseries} ring buffers (cumulative per-flow
     byte/packet counters, cumulative per-port byte counters, and the
     control-channel round-trip time as a gauge).  Everything downstream
-    — the traffic {!Monitor} matrix, {!Top_talkers} byte rankings, the
-    [harmlessctl top] dashboard, SLO alert rules — reads these series
-    instead of keeping its own books.
+    — the [harmlessctl top] dashboard, SLO alert rules — reads these
+    series instead of keeping its own books.
 
     When the channel is disconnected, or a round completes without any
     flow-stats reply arriving, the poller backs off: the next round is
@@ -44,7 +43,7 @@ val stop : t -> unit
 
 val poll_now : t -> unit
 (** Issue one round of requests immediately, outside the periodic
-    schedule — what {!Monitor.poll} calls. *)
+    schedule. *)
 
 val rounds_issued : t -> int
 (** Poll rounds whose requests were actually sent. *)

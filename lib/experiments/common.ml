@@ -16,6 +16,9 @@ let proactive_l2 ~num_hosts =
   in
   { (Sdnctl.Controller.no_op_app "proactive-l2") with Sdnctl.Controller.switch_up }
 
+let host_l2 ~num_hosts =
+  List.init num_hosts (fun i -> (Harmless.Deployment.host_mac i, i))
+
 let warm_legacy deployment =
   let engine = deployment.Harmless.Deployment.engine in
   Array.iteri

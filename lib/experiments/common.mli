@@ -7,6 +7,11 @@ val proactive_l2 : num_hosts:int -> Sdnctl.Controller.app
     an ARP-flood rule — static forwarding with no reactive path, so
     throughput experiments measure the dataplane, not the controller. *)
 
+val host_l2 : num_hosts:int -> (Netpkt.Mac_addr.t * int) list
+(** Every host's (MAC, port) pair per the {!Harmless.Deployment}
+    conventions — what {!Sdnctl.Policy_app.l2_band} forwards on in the
+    compiled use-case experiments. *)
+
 val warm_legacy : Harmless.Deployment.t -> unit
 (** Make every host broadcast one ARP so legacy MAC tables are populated
     before measurement. *)

@@ -22,21 +22,24 @@ let measure_run () =
     | Ok d -> d
     | Error msg -> failwith msg
   in
+  let limits =
+    [
+      {
+        Sdnctl.Rate_limiter.subject = Harmless.Deployment.host_ip 0;
+        rate_kbps = limit_kbps;
+        burst_kb = 16;
+      };
+    ]
+  in
+  let policy =
+    Policy.Syntax.(
+      seq
+        (Sdnctl.Rate_limiter.fragment ~limits ())
+        (orelse (Sdnctl.Policy_app.l2_band (Common.host_l2 ~num_hosts:3)) discard))
+  in
   ignore
     (Common.attach_with_apps deployment
-       [
-         Sdnctl.Rate_limiter.create
-           ~limits:
-             [
-               {
-                 Sdnctl.Rate_limiter.subject = Harmless.Deployment.host_ip 0;
-                 rate_kbps = limit_kbps;
-                 burst_kb = 16;
-               };
-             ]
-           ();
-         Sdnctl.Rate_limiter.table1_l2 ~num_hosts:3;
-       ]);
+       [ Sdnctl.Policy_app.(app (live ~name:"rate-limiter" (fun () -> policy))) ]);
   let rng = Rng.create 5 in
   let frame = 1024 in
   let rate_pps = offered_mbps *. 1e6 /. float_of_int (frame * 8) in

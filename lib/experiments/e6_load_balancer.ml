@@ -27,8 +27,8 @@ let measure () =
     | Ok d -> d
     | Error msg -> failwith msg
   in
-  let lb_app =
-    Sdnctl.Load_balancer.create ~vip_ip ~vip_mac ~ingress_port:client
+  let lb =
+    Sdnctl.Load_balancer.fragment ~vip_ip ~vip_mac ~ingress_port:client
       ~backends:
         (List.map
            (fun b ->
@@ -40,7 +40,13 @@ let measure () =
            backends)
       ()
   in
-  ignore (Common.attach_with_apps deployment [ lb_app; Sdnctl.L2_learning.create () ]);
+  let policy =
+    Policy.Syntax.orelse lb
+      (Sdnctl.Policy_app.l2_band (Common.host_l2 ~num_hosts))
+  in
+  ignore
+    (Common.attach_with_apps deployment
+       [ Sdnctl.Policy_app.(app (live ~name:"load-balancer" (fun () -> policy))) ]);
   List.iter
     (fun b ->
       Host.serve_http (Harmless.Deployment.host deployment b) ~pages:[ "/" ])

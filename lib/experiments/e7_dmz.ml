@@ -42,8 +42,10 @@ let measure () =
           allowed_pairs;
     }
   in
+  let dmz = Sdnctl.Dmz.fragment policy () in
   ignore
-    (Common.attach_with_apps deployment [ Sdnctl.Dmz.create policy () ]);
+    (Common.attach_with_apps deployment
+       [ Sdnctl.Policy_app.(app (live ~name:"dmz" (fun () -> dmz))) ]);
   (* Probe every ordered pair with a distinctive UDP port. *)
   let probe_port src dst = 20000 + (src * 100) + dst in
   List.iter

@@ -44,9 +44,14 @@ let measure () =
       ~blocked:[ (Harmless.Deployment.host_ip user0, bad_host) ]
       ()
   in
+  let l2 = Common.host_l2 ~num_hosts in
+  let live =
+    Sdnctl.Policy_app.live ~name:"parental-control" (fun () ->
+        Sdnctl.Parental_control.enforce pc (Sdnctl.Policy_app.l2_band l2))
+  in
   let ctrl =
     Common.attach_with_apps deployment
-      [ Sdnctl.Parental_control.app pc; Sdnctl.L2_learning.create () ]
+      [ Sdnctl.Parental_control.app pc live ~l2; Sdnctl.Policy_app.app live ]
   in
   Host.serve_http (Harmless.Deployment.host deployment good_server) ~pages:[ "/" ];
   Host.serve_http (Harmless.Deployment.host deployment bad_server) ~pages:[ "/" ];

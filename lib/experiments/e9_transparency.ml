@@ -57,8 +57,8 @@ let scenarios =
         Harmless.Transparency.num_hosts = 4;
         apps =
           (fun () ->
-            [
-              Sdnctl.Dmz.create
+            let dmz =
+              Sdnctl.Dmz.fragment
                 {
                   Sdnctl.Dmz.vms =
                     List.init 4 (fun i ->
@@ -73,8 +73,9 @@ let scenarios =
                       (Harmless.Deployment.host_ip 2, Harmless.Deployment.host_ip 3);
                     ];
                 }
-                ();
-            ]);
+                ()
+            in
+            [ Sdnctl.Policy_app.(app (live ~name:"dmz" (fun () -> dmz))) ]);
         traffic = udp_burst;
         warmup = Sim_time.ms 5;
         duration = Sim_time.ms 60;

@@ -33,6 +33,9 @@ let remove t ~id = Hashtbl.remove t id
 let mem t ~id = Hashtbl.mem t id
 let size t = Hashtbl.length t
 
+let find t ~id =
+  Option.map (fun g -> (g.gtype, g.buckets)) (Hashtbl.find_opt t id)
+
 let select_buckets t ~id ~flow_hash =
   match Hashtbl.find_opt t id with
   | None -> raise Not_found

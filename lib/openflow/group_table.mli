@@ -25,6 +25,9 @@ val remove : t -> id:int -> unit
 val mem : t -> id:int -> bool
 val size : t -> int
 
+val find : t -> id:int -> (group_type * bucket list) option
+(** A group's type and buckets as installed. *)
+
 val select_buckets :
   t -> id:int -> flow_hash:int -> bucket list
 (** Buckets to execute for a packet with [flow_hash]: all of them for

@@ -42,6 +42,7 @@ let modify t ~id band =
 let remove t ~id = Hashtbl.remove t id
 let mem t ~id = Hashtbl.mem t id
 let size t = Hashtbl.length t
+let band t ~id = Option.map (fun m -> m.band) (Hashtbl.find_opt t id)
 
 let apply t ~id ~now_ns ~bytes =
   match Hashtbl.find_opt t id with

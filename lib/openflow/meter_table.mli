@@ -22,6 +22,9 @@ val remove : t -> id:int -> unit
 val mem : t -> id:int -> bool
 val size : t -> int
 
+val band : t -> id:int -> band option
+(** A meter's band as installed. *)
+
 val apply : t -> id:int -> now_ns:int -> bytes:int -> [ `Pass | `Drop ]
 (** Offer a packet of [bytes] to meter [id] at [now_ns].  Unknown meters
     pass (matching OpenFlow's behaviour of treating a dangling meter

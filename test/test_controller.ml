@@ -27,6 +27,20 @@ let rig ?(ports = 4) apps =
   let send i pkt = Node.transmit stubs.(i) ~port:0 pkt in
   (engine, sw, ctrl, dpid, send, received)
 
+(* An SS_2 app is a policy fragment installed through Policy_app. *)
+let compiled name term = Sdnctl.Policy_app.(app (live ~name (fun () -> term)))
+
+(* The rig's L2 band: stub [i] has MAC [i + 1]. *)
+let stub_l2 = List.init 4 (fun i -> (mac (i + 1), i))
+
+(* Parental control over the rig's L2 band, live-updatable. *)
+let pc_rig pc =
+  let live =
+    Sdnctl.Policy_app.live ~name:"parental-control" (fun () ->
+        Sdnctl.Parental_control.enforce pc (Sdnctl.Policy_app.l2_band stub_l2))
+  in
+  rig [ Sdnctl.Parental_control.app pc live ~l2:stub_l2; Sdnctl.Policy_app.app live ]
+
 let udp_between i j =
   Packet.udp ~dst:(mac (j + 1)) ~src:(mac (i + 1))
     ~ip_src:(Ipv4_addr.of_octets 10 0 0 (i + 1))
@@ -124,7 +138,9 @@ let lb_tests =
             [ 0; 1 ]
         in
         let app =
-          Sdnctl.Load_balancer.create ~vip_ip ~vip_mac ~ingress_port:3 ~backends ()
+          compiled "load-balancer"
+            (Sdnctl.Load_balancer.fragment ~vip_ip ~vip_mac ~ingress_port:3
+               ~backends ())
         in
         let engine, _, _, _, send, received = rig [ app ] in
         let to_vip sport =
@@ -168,7 +184,9 @@ let lb_tests =
           ]
         in
         let app =
-          Sdnctl.Load_balancer.create ~vip_ip ~vip_mac ~ingress_port:3 ~backends ()
+          compiled "load-balancer"
+            (Sdnctl.Load_balancer.fragment ~vip_ip ~vip_mac ~ingress_port:3
+               ~backends ())
         in
         let engine, _, _, _, send, received = rig [ app ] in
         send 0
@@ -204,7 +222,9 @@ let dmz_tests =
             allowed = [ (Ipv4_addr.of_octets 10 0 0 1, Ipv4_addr.of_octets 10 0 0 2) ];
           }
         in
-        let engine, _, _, _, send, received = rig [ Sdnctl.Dmz.create policy () ] in
+        let engine, _, _, _, send, received =
+          rig [ compiled "dmz" (Sdnctl.Dmz.fragment policy ()) ]
+        in
         send 0 (udp_between 0 1);
         send 1 (udp_between 1 0);
         send 0 (udp_between 0 2);
@@ -223,7 +243,9 @@ let dmz_tests =
           }
         in
         let policy = { Sdnctl.Dmz.vms = List.init 2 vm; allowed = [] } in
-        let engine, _, _, _, send, received = rig [ Sdnctl.Dmz.create policy () ] in
+        let engine, _, _, _, send, received =
+          rig [ compiled "dmz" (Sdnctl.Dmz.fragment policy ()) ]
+        in
         send 0
           (Packet.arp_request ~src_mac:(mac 1)
              ~src_ip:(Ipv4_addr.of_octets 10 0 0 1)
@@ -238,7 +260,7 @@ let dmz_tests =
           }
         in
         check Alcotest.bool "raises" true
-          (try ignore (Sdnctl.Dmz.create policy ()); false
+          (try ignore (Sdnctl.Dmz.fragment policy ()); false
            with Invalid_argument _ -> true));
   ]
 
@@ -253,9 +275,7 @@ let pc_tests =
             ~blocked:[ (user, "bad.example") ]
             ()
         in
-        let engine, _, _, _, send, received =
-          rig [ Sdnctl.Parental_control.app pc; Sdnctl.L2_learning.create () ]
-        in
+        let engine, _, _, _, send, received = pc_rig pc in
         (* user (port 0) sends HTTP to the site host (port 2) *)
         let http =
           Packet.tcp ~dst:(mac 3) ~src:(mac 1) ~ip_src:user ~ip_dst:site
@@ -276,9 +296,7 @@ let pc_tests =
             ~blocked:[ (user, "sneaky.example") ]
             ()
         in
-        let engine, _, _, _, send, received =
-          rig [ Sdnctl.Parental_control.app pc; Sdnctl.L2_learning.create () ]
-        in
+        let engine, _, _, _, send, received = pc_rig pc in
         let http ~server host =
           Packet.tcp ~dst:(mac (server + 1)) ~src:(mac 1) ~ip_src:user
             ~ip_dst:(Ipv4_addr.of_octets 10 0 0 (server + 1)) ~src_port:1234
@@ -289,8 +307,9 @@ let pc_tests =
         Engine.run engine ~until:(Sim_time.of_ns (Sim_time.ms 20));
         check Alcotest.int "sniffed and dropped" 0 (List.length received.(2));
         check Alcotest.int "counted" 1 (Sdnctl.Parental_control.sniffed_drops pc);
-        (* an allowed Host on a *different* server flows through; the same
-           server IP stays collaterally blocked by the pinned drop rule *)
+        (* an allowed Host on a *different* server is sent on to the port
+           the L2 band gives its MAC; the same server IP stays collaterally
+           blocked by the pinned verdict *)
         send 0 (http ~server:3 "fine.example");
         Engine.run engine ~until:(Sim_time.of_ns (Sim_time.ms 40));
         check Alcotest.int "allowed host forwarded" 1 (List.length received.(3)));
@@ -300,9 +319,7 @@ let pc_tests =
         let pc =
           Sdnctl.Parental_control.create ~sites:[ ("x.example", site) ] ~blocked:[] ()
         in
-        let engine, _, ctrl, _, send, received =
-          rig [ Sdnctl.Parental_control.app pc; Sdnctl.L2_learning.create () ]
-        in
+        let engine, _, ctrl, _, send, received = pc_rig pc in
         let http () =
           Packet.tcp ~dst:(mac 3) ~src:(mac 1) ~ip_src:user ~ip_dst:site
             ~src_port:1234 ~dst_port:80
@@ -325,6 +342,149 @@ let pc_tests =
           (Sdnctl.Parental_control.blocked_list pc = []));
   ]
 
+(* ---- live policy updates ---- *)
+
+module Compile = Policy.Compile
+
+let rules pipeline =
+  List.map
+    (fun (e : Flow_entry.t) ->
+      (e.Flow_entry.priority, e.Flow_entry.match_, e.Flow_entry.instructions))
+    (Flow_table.entries (Pipeline.table pipeline 0))
+
+let has_catch_all pipeline =
+  List.exists (fun (p, m, _) -> p = 0 && Of_match.equal m Of_match.any) (rules pipeline)
+
+(* Everything a switch holding exactly [c] shows: table 0 in order, and
+   the group and meter tables (their sizes, and the content of every id
+   [c] uses). *)
+let state pipeline c =
+  let groups = Pipeline.groups pipeline and meters = Pipeline.meters pipeline in
+  let group_ids =
+    List.filter_map
+      (function Of_message.Add_group { id; _ } -> Some id | _ -> None)
+      (Compile.group_mods c)
+  and meter_ids =
+    List.filter_map
+      (function Of_message.Add_meter { id; _ } -> Some id | _ -> None)
+      (Compile.meter_mods c)
+  in
+  ( rules pipeline,
+    ( Group_table.size groups,
+      List.map (fun id -> Group_table.find groups ~id) group_ids ),
+    ( Meter_table.size meters,
+      List.map (fun id -> Meter_table.band meters ~id) meter_ids ) )
+
+let fresh_install c =
+  let p = Pipeline.create () in
+  Compile.install c ~now_ns:0 p;
+  p
+
+let policy_app_tests =
+  [
+    tc "live edits install a diff equal to a fresh compile, never missing the \
+        catch-all"
+      (fun () ->
+        let g = ref (Sdnctl.Gateway.default ()) in
+        let live =
+          Sdnctl.Policy_app.live ~name:"gateway" (fun () ->
+              Sdnctl.Gateway.policy !g)
+        in
+        let l2 =
+          List.map
+            (fun s -> (s.Sdnctl.Gateway.sub_mac, s.Sdnctl.Gateway.sub_port))
+            !g.Sdnctl.Gateway.subscribers
+        in
+        let pc = !g.Sdnctl.Gateway.parental in
+        let engine, sw, ctrl, _, _, _ =
+          rig ~ports:!g.Sdnctl.Gateway.num_ports
+            [ Sdnctl.Parental_control.app pc live ~l2; Sdnctl.Policy_app.app live ]
+        in
+        let pipeline = Softswitch.Soft_switch.pipeline sw in
+        let agrees what =
+          let c = Sdnctl.Policy_app.compiled live in
+          check Alcotest.bool (what ^ ": switch = fresh install") true
+            (state pipeline c = state (fresh_install c) c);
+          check Alcotest.(list string) (what ^ ": no switch errors") []
+            (Sdnctl.Controller.errors_received ctrl)
+        in
+        (* Edit, then step the engine one event at a time until the diff
+           has crossed the channel, checking the table after each. *)
+        let edit what f =
+          f ();
+          let until = Sim_time.add (Engine.now engine) (Sim_time.ms 5) in
+          while Sim_time.(Engine.now engine < until) && Engine.step engine do
+            if not (has_catch_all pipeline) then
+              Alcotest.failf "%s: table lost its catch-all" what
+          done;
+          agrees what
+        in
+        agrees "switch-up";
+        let update () = Sdnctl.Policy_app.update live ctrl in
+        let limit ip rate_kbps =
+          {
+            Sdnctl.Rate_limiter.subject = Ipv4_addr.of_string ip;
+            rate_kbps;
+            burst_kb = 16;
+          }
+        in
+        edit "deny-list add" (fun () ->
+            Sdnctl.Parental_control.block pc ctrl
+              ~user:(Ipv4_addr.of_string "10.1.0.3") ~host:"other.example");
+        edit "deny-list remove" (fun () ->
+            Sdnctl.Parental_control.unblock pc ctrl
+              ~user:(Ipv4_addr.of_string "10.1.0.1") ~host:"blocked.example");
+        edit "rate change" (fun () ->
+            g := { !g with Sdnctl.Gateway.limits = [ limit "10.1.0.1" 2048 ] };
+            update ());
+        edit "second limit" (fun () ->
+            g :=
+              {
+                !g with
+                Sdnctl.Gateway.limits =
+                  [ limit "10.1.0.1" 2048; limit "10.1.0.4" 256 ];
+              };
+            update ());
+        edit "backend-pool change" (fun () ->
+            g :=
+              {
+                !g with
+                Sdnctl.Gateway.lb_backends = [ List.hd !g.Sdnctl.Gateway.lb_backends ];
+              };
+            update ());
+        edit "limit removed" (fun () ->
+            g := { !g with Sdnctl.Gateway.limits = [ limit "10.1.0.4" 256 ] };
+            update ()));
+    tc "an unchanged compile diffs to nothing; an edit leaves the rest alone"
+      (fun () ->
+        let g = Sdnctl.Gateway.default () in
+        let before = Compile.compile (Sdnctl.Gateway.policy g) in
+        check Alcotest.int "identical compiles" 0
+          (List.length (Sdnctl.Policy_app.diff ~installed:before before));
+        Sdnctl.Parental_control.block g.Sdnctl.Gateway.parental
+          (Sdnctl.Controller.create (Engine.create ()) ())
+          ~user:(Ipv4_addr.of_string "10.1.0.3") ~host:"other.example";
+        let after = Compile.compile (Sdnctl.Gateway.policy g) in
+        let adds, deletes =
+          List.partition
+            (fun (fm : Of_message.flow_mod) -> fm.Of_message.command = Of_message.Add)
+            (List.filter_map
+               (function Of_message.Flow_mod fm -> Some fm | _ -> None)
+               (Sdnctl.Policy_app.diff ~installed:before after))
+        in
+        check Alcotest.bool "catch-all untouched" false
+          (List.exists
+             (fun (fm : Of_message.flow_mod) ->
+               fm.Of_message.priority = 0
+               && Of_match.equal fm.Of_message.match_ Of_match.any)
+             (adds @ deletes));
+        (* The new drop shifts the rules above it up one priority; the
+           rules below it stay where they are and are not re-sent. *)
+        check Alcotest.bool "not a full re-send" true
+          (List.length adds < Compile.flow_count after);
+        check Alcotest.int "one rule more" 1 (List.length adds - List.length deletes));
+  ]
+
 let suite =
   [
     ("controller.channel", channel_tests @ error_tests);
@@ -332,4 +492,5 @@ let suite =
     ("controller.load_balancer", lb_tests);
     ("controller.dmz", dmz_tests);
     ("controller.parental_control", pc_tests);
+    ("controller.policy_app", policy_app_tests);
   ]

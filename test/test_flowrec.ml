@@ -275,15 +275,15 @@ let agreement_tests =
             (Harmless.Deployment.host_ip 1, Harmless.Deployment.host_ip 2);
           ]
         in
-        let mon = Sdnctl.Monitor.create ~pairs () in
         let ctrl = Sdnctl.Controller.create engine () in
-        Sdnctl.Controller.add_app ctrl (Sdnctl.Monitor.app mon);
+        Sdnctl.Controller.add_app ctrl (Talkers.pair_counters pairs);
         Sdnctl.Controller.add_app ctrl (Sdnctl.Rate_limiter.table1_l2 ~num_hosts:3);
         let dpid =
           Sdnctl.Controller.attach_switch ctrl
             (Harmless.Deployment.controller_switch d)
         in
         Engine.run engine ~until:(Sim_time.of_ns (Sim_time.ms 5));
+        let poller = Sdnctl.Stats_poller.create ctrl dpid in
         let send src n =
           let h = Harmless.Deployment.host d src in
           for i = 1 to n do
@@ -299,19 +299,15 @@ let agreement_tests =
         send 1 3;
         Engine.run engine
           ~until:(Sim_time.add (Engine.now engine) (Sim_time.ms 20));
-        Sdnctl.Monitor.poll mon ctrl;
+        Sdnctl.Stats_poller.poll_now poller;
         Engine.run engine
           ~until:(Sim_time.add (Engine.now engine) (Sim_time.ms 10));
         FC.merge_now fc;
         (* exact side *)
-        let tt = Sdnctl.Top_talkers.create () in
-        (match Sdnctl.Monitor.poller mon dpid with
-        | Some p -> Sdnctl.Top_talkers.attach_poller tt p
-        | None -> Alcotest.fail "monitor has no poller after polling");
         let exact_rank =
           List.map
             (fun (a, _) -> Netpkt.Ipv4_addr.to_string a)
-            (Sdnctl.Top_talkers.byte_ranking tt)
+            (Talkers.byte_ranking [ poller ])
         in
         (* sampled side: sum the top-k's dport-9 flows by source *)
         let bytes_of src =
@@ -345,29 +341,6 @@ let agreement_tests =
         check
           Alcotest.(list string)
           "rank agreement with byte_ranking" exact_rank sampled_rank);
-    tc "sample ranking breaks count ties by address" (fun () ->
-        (* satellite fix: equal sample counts must order by source
-           address ascending, deterministically *)
-        let engine = Engine.create () in
-        let ctrl = Sdnctl.Controller.create engine () in
-        let tt = Sdnctl.Top_talkers.create () in
-        let app = Sdnctl.Top_talkers.app tt in
-        let seen src =
-          app.Sdnctl.Controller.packet_in ctrl 1L ~in_port:1
-            Openflow.Of_message.Action_to_controller
-            (pkt ~src ())
-        in
-        (* feed the higher address first: the tie-break must still put
-           the lower address first *)
-        ignore (seen 8);
-        ignore (seen 2);
-        check
-          Alcotest.(list (pair string int))
-          "count desc, then address asc"
-          [ ("10.0.0.2", 1); ("10.0.0.8", 1) ]
-          (List.map
-             (fun (a, n) -> (Netpkt.Ipv4_addr.to_string a, n))
-             (Sdnctl.Top_talkers.ranking tt)));
   ]
 
 let dashboard_tests =

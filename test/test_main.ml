@@ -6,7 +6,7 @@ let () =
    @ Test_openflow.suite @ Test_softswitch.suite @ Test_mgmt.suite
    @ Test_controller.suite @ Test_costmodel.suite @ Test_harmless.suite
    @ Test_integration.suite @ Test_meters.suite @ Test_scaleout.suite
-   @ Test_codec.suite @ Test_monitor.suite @ Test_failover.suite
+   @ Test_codec.suite @ Test_failover.suite
    @ Test_dns.suite @ Test_port_status.suite @ Test_impairments.suite @ Test_tcp_session.suite @ Test_inventory.suite @ Test_sampling.suite @ Test_properties.suite
    @ Test_telemetry.suite @ Test_fault.suite @ Test_chaos.suite
    @ Test_timeseries.suite @ Test_poller.suite @ Test_check.suite

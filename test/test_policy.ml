@@ -1,8 +1,8 @@
 (* The policy layer: FDD algebraic laws (hash-consing makes them one
    pointer comparison each), compiler structure, interpreter semantics,
-   golden table dumps per app, and the three-way differential proof that
-   compiled tables, hand-written rules and the denotational interpreter
-   agree packet-for-packet. *)
+   golden table dumps per app, and the differential proof that compiled
+   tables (on the spec-literal oracle and every backend) and the
+   denotational interpreter agree packet-for-packet. *)
 
 open Netpkt
 module Syn = Policy.Syntax
@@ -279,21 +279,34 @@ let compile_tests =
           ignore (Interp.create bad);
           Alcotest.fail "interp accepted conflicting bands"
         with Invalid_argument _ -> ());
-    tc "composed gateway table is no bigger than the hand-written union"
+    tc
+      "composed gateway table is no bigger than the per-app compiled tables \
+       plus the L2 band"
       (fun () ->
         let g = Sdnctl.Gateway.default () in
-        let hand_rules =
-          List.length
-            (List.filter
-               (function Openflow.Of_message.Flow_mod _ -> true | _ -> false)
-               (Sdnctl.Gateway.handwritten_messages g))
+        let rules p = Compile.flow_count (Compile.compile p) in
+        let parts =
+          [
+            Sdnctl.Rate_limiter.fragment ~limits:g.Sdnctl.Gateway.limits ();
+            Sdnctl.Parental_control.fragment g.Sdnctl.Gateway.parental;
+            Sdnctl.Dmz.fragment g.Sdnctl.Gateway.dmz
+              ~in_ports:g.Sdnctl.Gateway.dmz_ports ();
+            Sdnctl.Load_balancer.fragment ~vip_ip:g.Sdnctl.Gateway.vip_ip
+              ~vip_mac:g.Sdnctl.Gateway.vip_mac
+              ~ingress_port:g.Sdnctl.Gateway.lb_ingress
+              ~backends:g.Sdnctl.Gateway.lb_backends
+              ~vip_in_ports:[ g.Sdnctl.Gateway.lb_ingress ] ();
+            Sdnctl.Policy_app.l2_band
+              (List.map
+                 (fun s -> (s.Sdnctl.Gateway.sub_mac, s.Sdnctl.Gateway.sub_port))
+                 g.Sdnctl.Gateway.subscribers);
+          ]
         in
-        let c = Compile.compile (Sdnctl.Gateway.policy g) in
+        let separate = List.fold_left (fun acc p -> acc + rules p) 0 parts in
+        let composed = rules (Sdnctl.Gateway.policy g) in
         check Alcotest.bool
-          (Printf.sprintf "compiled %d <= hand-written %d"
-             (Compile.flow_count c) hand_rules)
-          true
-          (Compile.flow_count c <= hand_rules));
+          (Printf.sprintf "composed %d <= separate %d" composed separate)
+          true (composed <= separate));
   ]
 
 (* ---- interpreter semantics units ---- *)
@@ -400,7 +413,7 @@ let equiv_tests =
   List.map
     (fun sp ->
       tc
-        (Printf.sprintf "equivalence: %s (compiled = hand-written = interpreter)"
+        (Printf.sprintf "equivalence: %s (compiled = interpreter)"
            sp.PE.spec_name)
         (fun () ->
           let r =
@@ -412,12 +425,20 @@ let equiv_tests =
           check Alcotest.bool "packets compared" true (r.PE.packets > 100)))
     (PE.specs ())
 
+(* The first seeded case that diverges, shrunk. *)
+let hunt sp =
+  let rec go seed =
+    if seed > 200 then Alcotest.fail "no divergence found in 200 seeds"
+    else match PE.check_case sp ~seed with None -> go (seed + 1) | Some d -> d
+  in
+  go 1
+
 let harness_tests =
   [
-    tc "broken hand-written rules diverge and shrink to one packet" (fun () ->
+    tc "broken DMZ table diverges and shrinks to one packet" (fun () ->
         let sp = Option.get (PE.find_spec "dmz") in
-        (* Drop the ARP flood rule: ARP between VMs now dead-ends in the
-           rule set while the policy still floods it. *)
+        (* Drop the ARP flood rule: ARP between VMs now falls to the
+           catch-all drop while the policy still floods it. *)
         let broken =
           List.filter
             (function
@@ -428,52 +449,33 @@ let harness_tests =
                   | Some 0x0806 -> false
                   | _ -> true)
               | _ -> true)
-            sp.PE.hand_messages
+            sp.PE.table
         in
-        let sp = { sp with PE.spec_name = "dmz-broken"; hand_messages = broken } in
-        let rec hunt seed =
-          if seed > 200 then Alcotest.fail "no divergence found in 200 seeds"
-          else
-            match PE.check_case sp ~seed with
-            | None -> hunt (seed + 1)
-            | Some d -> d
-        in
-        let d = hunt 1 in
-        check Alcotest.string "hand side diverged" "hand:oracle" d.PE.impl;
+        let d = hunt { sp with PE.spec_name = "dmz-broken"; table = broken } in
+        check Alcotest.string "the broken table diverged" "compiled:oracle"
+          d.PE.impl;
         check Alcotest.int "shrunk to a single packet" 1
           (List.length d.PE.case.PE.steps));
     tc "broken compiler pass (reversed priorities) is caught" (fun () ->
         let sp = Option.get (PE.find_spec "dmz") in
-        let c = Compile.compile sp.PE.policy in
-        let fms = Compile.flow_mods c in
+        let fms = Compile.flow_mods (Compile.compile sp.PE.policy) in
         let prios = List.map (fun fm -> fm.Openflow.Of_message.priority) fms in
+        (* Rule order is now inverted, so shadowing breaks and the
+           interpreter disagrees. *)
         let broken =
           List.map2
-            (fun fm p -> { fm with Openflow.Of_message.priority = p })
+            (fun fm p ->
+              Openflow.Of_message.Flow_mod
+                { fm with Openflow.Of_message.priority = p })
             fms (List.rev prios)
         in
-        (* Hand the sabotaged table to the harness as if it were the
-           hand-written implementation: rule order is now inverted, so
-           shadowing breaks and the interpreter disagrees. *)
-        let sp =
-          {
-            sp with
-            PE.spec_name = "dmz-reversed";
-            hand_tables = 1;
-            hand_messages =
-              List.map (fun fm -> Openflow.Of_message.Flow_mod fm) broken;
-          }
+        let d =
+          hunt { sp with PE.spec_name = "dmz-reversed"; table = broken }
         in
-        let rec hunt seed =
-          if seed > 200 then Alcotest.fail "no divergence found in 200 seeds"
-          else
-            match PE.check_case sp ~seed with
-            | None -> hunt (seed + 1)
-            | Some d -> d
-        in
-        let d = hunt 1 in
-        check Alcotest.string "the sabotaged table diverged" "hand:oracle"
-          d.PE.impl);
+        check Alcotest.string "the sabotaged table diverged" "compiled:oracle"
+          d.PE.impl;
+        check Alcotest.int "shrunk to a single packet" 1
+          (List.length d.PE.case.PE.steps));
     prop "repro files are a to_string/of_string fixpoint" ~count:50
       (QCheck2.Gen.int_range 1 10_000) ~print:string_of_int (fun seed ->
         let sp = Option.get (PE.find_spec "gateway") in

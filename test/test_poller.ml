@@ -131,15 +131,15 @@ let poller_tests =
             (Harmless.Deployment.host_ip 1, Harmless.Deployment.host_ip 2);
           ]
         in
-        let mon = Sdnctl.Monitor.create ~pairs () in
         let ctrl = Sdnctl.Controller.create engine () in
-        Sdnctl.Controller.add_app ctrl (Sdnctl.Monitor.app mon);
+        Sdnctl.Controller.add_app ctrl (Talkers.pair_counters pairs);
         Sdnctl.Controller.add_app ctrl (Sdnctl.Rate_limiter.table1_l2 ~num_hosts:3);
         let dpid =
           Sdnctl.Controller.attach_switch ctrl
             (Harmless.Deployment.controller_switch d)
         in
         Engine.run engine ~until:(Sim_time.of_ns (Sim_time.ms 5));
+        let poller = Sdnctl.Stats_poller.create ctrl dpid in
         let send src n =
           let h = Harmless.Deployment.host d src in
           for i = 1 to n do
@@ -155,18 +155,10 @@ let poller_tests =
         send 1 3;
         Engine.run engine
           ~until:(Sim_time.add (Engine.now engine) (Sim_time.ms 20));
-        Sdnctl.Monitor.poll mon ctrl;
+        Sdnctl.Stats_poller.poll_now poller;
         Engine.run engine
           ~until:(Sim_time.add (Engine.now engine) (Sim_time.ms 10));
-        let tt = Sdnctl.Top_talkers.create () in
-        check (Alcotest.list Alcotest.string) "empty before attach" []
-          (List.map
-             (fun (a, _) -> Netpkt.Ipv4_addr.to_string a)
-             (Sdnctl.Top_talkers.byte_ranking tt));
-        (match Sdnctl.Monitor.poller mon dpid with
-        | Some p -> Sdnctl.Top_talkers.attach_poller tt p
-        | None -> Alcotest.fail "monitor has no poller after polling");
-        (match Sdnctl.Top_talkers.byte_ranking tt with
+        (match Talkers.byte_ranking [ poller ] with
         | [ (a0, b0); (a1, b1) ] ->
             check Alcotest.string "heaviest source first"
               (Netpkt.Ipv4_addr.to_string (Harmless.Deployment.host_ip 0))
