@@ -439,7 +439,11 @@ let fuzz_tests =
 
    "compile-gateway" is the whole pipeline — compose the four resident
    apps, build the FDD, extract and minimize the single table — i.e. the
-   controller-side cost of a config push.  The lookup benches then price
+   controller-side cost of a config push.  "recompile-churn" is the cost
+   of a live edit: every run compiles the next of 1280 distinct gateway
+   edits, each swapping one parental deny-list entry and re-picking a
+   subscriber's rate, so nothing repeats within a measurement (building
+   the edited policy adds ~4 us).  The lookup benches then price
    that composed table on each dataplane backend, the companion to
    lookup/* for policy-generated (match-heterogeneous) rules rather than
    synthetic eth_dst ladders. *)
@@ -479,9 +483,42 @@ let policy_tests =
              (dp.Softswitch.Dataplane.process ~now_ns:0 ~in_port:in_ports.(k)
                 packets.(k))))
   in
+  let edit =
+    let sites =
+      List.init 64 (fun i ->
+          (Printf.sprintf "site%d.example" i, Netpkt.Ipv4_addr.of_octets 198 18 0 (i + 1)))
+    in
+    let users = List.map (fun s -> s.Sdnctl.Gateway.sub_ip) g.Sdnctl.Gateway.subscribers in
+    let rates = [| 256; 512; 1024; 2048; 4096 |] in
+    (* Entry [k] of a 256-long cycle over (user, site); edit [k] denies
+       entries [k .. k+2] at rate [k mod 5]: 1280 distinct edits. *)
+    let entry k = (List.nth users (k mod 4), fst (List.nth sites (k / 4 mod 64))) in
+    fun k ->
+      Sdnctl.Gateway.policy
+        {
+          g with
+          Sdnctl.Gateway.parental =
+            Sdnctl.Parental_control.create ~sites
+              ~blocked:[ entry k; entry (k + 1); entry (k + 2) ]
+              ();
+          limits =
+            [
+              {
+                Sdnctl.Rate_limiter.subject = List.hd users;
+                rate_kbps = rates.(k mod 5);
+                burst_kb = 16;
+              };
+            ];
+        }
+  in
+  let k = ref 0 in
   Test.make_grouped ~name:"policy"
     (Test.make ~name:"compile-gateway"
        (Staged.stage (fun () -> ignore (Policy.Compile.compile pol)))
+    :: Test.make ~name:"recompile-churn"
+         (Staged.stage (fun () ->
+              incr k;
+              ignore (Policy.Compile.compile (edit !k))))
     :: List.map mk_lookup Softswitch.Backends.all)
 
 let all_tests =

@@ -30,6 +30,7 @@ let modify t ~id gtype buckets =
   Hashtbl.replace t id { gtype; buckets; total_weight }
 
 let remove t ~id = Hashtbl.remove t id
+let clear t = Hashtbl.reset t
 let mem t ~id = Hashtbl.mem t id
 let size t = Hashtbl.length t
 

@@ -22,6 +22,10 @@ val modify : t -> id:int -> group_type -> bucket list -> unit
 (** @raise Not_found if absent. *)
 
 val remove : t -> id:int -> unit
+
+val clear : t -> unit
+(** Remove every group. *)
+
 val mem : t -> id:int -> bool
 val size : t -> int
 

@@ -40,6 +40,7 @@ let modify t ~id band =
       m.last_refill_ns <- 0
 
 let remove t ~id = Hashtbl.remove t id
+let clear t = Hashtbl.reset t
 let mem t ~id = Hashtbl.mem t id
 let size t = Hashtbl.length t
 let band t ~id = Option.map (fun m -> m.band) (Hashtbl.find_opt t id)

@@ -19,6 +19,10 @@ val modify : t -> id:int -> band -> unit
 (** Replaces the band and resets the bucket. @raise Not_found if absent. *)
 
 val remove : t -> id:int -> unit
+
+val clear : t -> unit
+(** Remove every meter. *)
+
 val mem : t -> id:int -> bool
 val size : t -> int
 

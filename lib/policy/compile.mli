@@ -32,7 +32,6 @@ val compile : ?table_id:int -> Syntax.t -> t
     meter inside a multi-action leaf. *)
 
 val policy : t -> Syntax.t
-val fdd : t -> Fdd.t
 val table_id : t -> int
 
 val flow_mods : t -> Openflow.Of_message.flow_mod list

@@ -2,9 +2,6 @@ open Syntax
 
 type key = Syntax.field * Syntax.value
 
-let key_to_string (f, v) =
-  Format.asprintf "%s=%a" (field_name f) pp_value v
-
 let compare_mods a b =
   let rec go = function
     | [], [] -> 0
@@ -145,33 +142,87 @@ and node = Leaf of Act.t list | Branch of key * t * t
 
 let equal a b = a.uid = b.uid
 
-(* Hash-consing.  Keys are rendered to strings: address types are abstract,
-   so structural-hash stability is not guaranteed, while their printed forms
-   are injective and cheap at this scale. *)
-let next_uid = ref 0
-let leaf_tbl : (string, t) Hashtbl.t = Hashtbl.create 512
-let branch_tbl : (string * int * int, t) Hashtbl.t = Hashtbl.create 512
+(* Hash-consing tables, keyed structurally: a leaf on its sorted action
+   list, a branch on its test and the uids of its children.  Every
+   component is plain data (ints, strings, int32s), so the polymorphic
+   hash agrees with [Act.equal]/[compare_key] and nothing is rendered. *)
+module Leaf_tbl = Hashtbl.Make (struct
+  type t = Act.t list
 
-let intern tbl k node =
-  match Hashtbl.find_opt tbl k with
-  | Some t -> t
-  | None ->
-      let t = { uid = !next_uid; node } in
-      incr next_uid;
-      Hashtbl.add tbl k t;
-      t
+  let equal = List.equal Act.equal
+  let hash = Hashtbl.hash
+end)
 
-let leaf acts =
+module Branch_tbl = Hashtbl.Make (struct
+  type t = key * int * int
+
+  let equal (k1, h1, l1) (k2, h2, l2) =
+    h1 = h2 && l1 = l2 && compare_key k1 k2 = 0
+
+  let hash (k, h, l) = Hashtbl.hash (Hashtbl.hash k, h, l)
+end)
+
+module Pair_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
+  let hash (a, b) = Hashtbl.hash (a, b)
+end)
+
+module Uid_tbl = Hashtbl.Make (Int)
+
+type ctx = {
+  mutable next_uid : int;
+  leaf_tbl : t Leaf_tbl.t;
+  branch_tbl : t Branch_tbl.t;
+  sum_memo : t Pair_tbl.t;
+  prod_memo : t Pair_tbl.t;
+  ors_memo : t Pair_tbl.t;
+  seq_memo : t Pair_tbl.t;
+  negate_memo : t Uid_tbl.t;
+  drop : t;
+  id : t;
+}
+
+let context () =
+  let leaf_tbl = Leaf_tbl.create 256 in
+  let drop = { uid = 0; node = Leaf [] } in
+  let id = { uid = 1; node = Leaf [ Act.id ] } in
+  Leaf_tbl.add leaf_tbl [] drop;
+  Leaf_tbl.add leaf_tbl [ Act.id ] id;
+  {
+    next_uid = 2;
+    leaf_tbl;
+    branch_tbl = Branch_tbl.create 512;
+    sum_memo = Pair_tbl.create 512;
+    prod_memo = Pair_tbl.create 512;
+    ors_memo = Pair_tbl.create 64;
+    seq_memo = Pair_tbl.create 256;
+    negate_memo = Uid_tbl.create 128;
+    drop;
+    id;
+  }
+
+let fresh c node =
+  let t = { uid = c.next_uid; node } in
+  c.next_uid <- c.next_uid + 1;
+  t
+
+let drop c = c.drop
+let id c = c.id
+
+let leaf c acts =
   (* Only the order/duplicate quotient here — notably discard actions are
      NOT dropped next to others: a later [seq] can still test or
      overwrite a discarded state's fields, so that quotient is deferred
      to {!strip_disc} where the actions really are final. *)
   let acts = List.sort_uniq Act.compare acts in
-  let k = String.concat "||" (List.map Act.to_string acts) in
-  intern leaf_tbl k (Leaf acts)
-
-let drop = leaf []
-let id = leaf [ Act.id ]
+  match Leaf_tbl.find_opt c.leaf_tbl acts with
+  | Some t -> t
+  | None ->
+      let t = fresh c (Leaf acts) in
+      Leaf_tbl.add c.leaf_tbl acts t;
+      t
 
 (* Restrict [d] to packets satisfying [key]: prunes re-tests of the same
    field with a different value (which the key makes statically false).
@@ -196,42 +247,57 @@ let rec assume ((f, _) as key) d =
    construction order, breaking the structural algebraic laws.  The
    redundant write is semantically harmless — rewriting a field to the
    value it already holds changes no packet. *)
-let branch key hi lo =
+let branch c key hi lo =
   if hi == assume key lo then lo
-  else intern branch_tbl (key_to_string key, hi.uid, lo.uid) (Branch (key, hi, lo))
+  else
+    let k = (key, hi.uid, lo.uid) in
+    match Branch_tbl.find_opt c.branch_tbl k with
+    | Some t -> t
+    | None ->
+        let t = fresh c (Branch (key, hi, lo)) in
+        Branch_tbl.add c.branch_tbl k t;
+        t
 
-let atom key = branch key id drop
-let natom key = branch key drop id
+let atom c key = branch c key c.id c.drop
+let natom c key = branch c key c.drop c.id
 
 (* Generic ordered merge: pairs the leaves reached by the same packet in
-   both diagrams and combines them with [op]. *)
-let merge ~name op =
-  let tbl : (int * int, t) Hashtbl.t = Hashtbl.create 512 in
-  ignore name;
+   both diagrams and combines them with [op].  [unit] answers the pairs
+   whose result is one of the operands outright (a merge with {!drop} or
+   {!id}); walking them would rebuild that operand node by node. *)
+let merge c tbl unit op =
   let rec go d1 d2 =
-    let k = (d1.uid, d2.uid) in
-    match Hashtbl.find_opt tbl k with
+    match unit d1 d2 with
     | Some r -> r
-    | None ->
-        let r =
-          match (d1.node, d2.node) with
-          | Leaf a, Leaf b -> leaf (op a b)
-          | Leaf _, Branch (key, hi, lo) ->
-              branch key (go d1 hi) (go d1 lo)
-          | Branch (key, hi, lo), Leaf _ ->
-              branch key (go hi d2) (go lo d2)
-          | Branch (k1, h1, l1), Branch (k2, h2, l2) ->
-              let c = compare_key k1 k2 in
-              if c = 0 then branch k1 (go h1 h2) (go l1 l2)
-              else if c < 0 then branch k1 (go h1 (assume k1 d2)) (go l1 d2)
-              else branch k2 (go (assume k2 d1) h2) (go d1 l2)
-        in
-        Hashtbl.add tbl k r;
-        r
+    | None -> (
+        let k = (d1.uid, d2.uid) in
+        match Pair_tbl.find_opt tbl k with
+        | Some r -> r
+        | None ->
+            let r =
+              match (d1.node, d2.node) with
+              | Leaf a, Leaf b -> leaf c (op a b)
+              | Leaf _, Branch (key, hi, lo) ->
+                  branch c key (go d1 hi) (go d1 lo)
+              | Branch (key, hi, lo), Leaf _ ->
+                  branch c key (go hi d2) (go lo d2)
+              | Branch (k1, h1, l1), Branch (k2, h2, l2) ->
+                  let cmp = compare_key k1 k2 in
+                  if cmp = 0 then branch c k1 (go h1 h2) (go l1 l2)
+                  else if cmp < 0 then
+                    branch c k1 (go h1 (assume k1 d2)) (go l1 d2)
+                  else branch c k2 (go (assume k2 d1) h2) (go d1 l2)
+            in
+            Pair_tbl.add tbl k r;
+            r)
   in
   go
 
-let sum = merge ~name:"sum" (fun a b -> a @ b)
+(* [drop] is the unit of union and of fallback on either side. *)
+let drop_unit c d1 d2 =
+  if d1 == c.drop then Some d2 else if d2 == c.drop then Some d1 else None
+
+let sum c = merge c c.sum_memo (drop_unit c) (fun a b -> a @ b)
 
 let as_guard name a k =
   match a with
@@ -239,84 +305,92 @@ let as_guard name a k =
   | [ x ] when Act.is_id x -> k ()
   | _ -> invalid_arg ("Policy.Fdd: " ^ name ^ " guard is not a predicate")
 
-let prod = merge ~name:"prod" (fun a b -> as_guard "prod" a (fun () -> b))
-let ors = merge ~name:"ors" (fun a b -> if a = [] then b else a)
+(* Only the guard side short-cuts, so a non-predicate guard still raises. *)
+let prod c =
+  merge c c.prod_memo
+    (fun d1 d2 ->
+      if d1 == c.drop then Some c.drop else if d1 == c.id then Some d2 else None)
+    (fun a b -> as_guard "prod" a (fun () -> b))
 
-let negate_tbl : (int, t) Hashtbl.t = Hashtbl.create 128
+let ors c = merge c c.ors_memo (drop_unit c) (fun a b -> if a = [] then b else a)
 
-let rec negate d =
-  match Hashtbl.find_opt negate_tbl d.uid with
-  | Some r -> r
-  | None ->
-      let r =
-        match d.node with
-        | Leaf [] -> id
-        | Leaf [ a ] when Act.is_id a -> drop
-        | Leaf _ -> invalid_arg "Policy.Fdd: negation of a non-predicate"
-        | Branch (key, hi, lo) -> branch key (negate hi) (negate lo)
-      in
-      Hashtbl.add negate_tbl d.uid r;
-      r
+let negate c =
+  let rec go d =
+    match Uid_tbl.find_opt c.negate_memo d.uid with
+    | Some r -> r
+    | None ->
+        let r =
+          match d.node with
+          | Leaf [] -> c.id
+          | Leaf [ a ] when Act.is_id a -> c.drop
+          | Leaf _ -> invalid_arg "Policy.Fdd: negation of a non-predicate"
+          | Branch (key, hi, lo) -> branch c key (go hi) (go lo)
+        in
+        Uid_tbl.add c.negate_memo d.uid r;
+        r
+  in
+  go
 
 (* [cond key hi lo]: branch on [key] without assuming [hi]/[lo] respect the
    key order — the ordered merges in [prod]/[sum] restore the invariant. *)
-let cond key hi lo = sum (prod (atom key) hi) (prod (natom key) lo)
+let cond c key hi lo =
+  sum c (prod c (atom c key) hi) (prod c (natom c key) lo)
 
-let seq_tbl : (int * int, t) Hashtbl.t = Hashtbl.create 512
+let seq c =
+  let rec seq d1 d2 =
+    let k = (d1.uid, d2.uid) in
+    match Pair_tbl.find_opt c.seq_memo k with
+    | Some r -> r
+    | None ->
+        let r =
+          match d1.node with
+          | Leaf acts ->
+              List.fold_left (fun acc a -> sum c acc (seq_act a d2)) c.drop acts
+          | Branch (key, hi, lo) -> cond c key (seq hi d2) (seq lo d2)
+        in
+        Pair_tbl.add c.seq_memo k r;
+        r
+  and seq_act (a : Act.t) d2 =
+    match a.balance with
+    | Some _ -> (
+        (* After a hash-based bucket choice the residual policy must be the
+           identity (or drop): the compiled select group is terminal. *)
+        match d2.node with
+        | Leaf [] -> c.drop
+        | Leaf [ x ] when Act.is_id x -> leaf c [ a ]
+        | _ -> invalid_arg "Policy.Fdd: tests or writes after balance")
+    | None -> (
+        match d2.node with
+        | Leaf acts2 -> leaf c (List.map (Act.compose a) acts2)
+        | Branch (((f, v) as key), hi, lo) -> (
+            match Act.find_mod a.mods f with
+            | Some v' ->
+                if equal_value v' v then seq_act a hi else seq_act a lo
+            | None -> cond c key (seq_act a hi) (seq_act a lo)))
+  in
+  seq
 
-let rec seq d1 d2 =
-  let k = (d1.uid, d2.uid) in
-  match Hashtbl.find_opt seq_tbl k with
-  | Some r -> r
-  | None ->
-      let r =
-        match d1.node with
-        | Leaf acts ->
-            List.fold_left (fun acc a -> sum acc (seq_act a d2)) drop acts
-        | Branch (key, hi, lo) -> cond key (seq hi d2) (seq lo d2)
-      in
-      Hashtbl.add seq_tbl k r;
-      r
-
-and seq_act (a : Act.t) d2 =
-  match a.balance with
-  | Some _ -> (
-      (* After a hash-based bucket choice the residual policy must be the
-         identity (or drop): the compiled select group is terminal. *)
-      match d2.node with
-      | Leaf [] -> drop
-      | Leaf [ x ] when Act.is_id x -> leaf [ a ]
-      | _ -> invalid_arg "Policy.Fdd: tests or writes after balance")
-  | None -> (
-      match d2.node with
-      | Leaf acts2 -> leaf (List.map (Act.compose a) acts2)
-      | Branch (((f, v) as key), hi, lo) -> (
-          match Act.find_mod a.mods f with
-          | Some v' ->
-              if equal_value v' v then seq_act a hi else seq_act a lo
-          | None -> cond key (seq_act a hi) (seq_act a lo)))
-
-let of_pred p =
+let of_pred c p =
   let rec go = function
-    | True -> id
-    | False -> drop
-    | Test (f, v) -> atom (f, v)
-    | And (a, b) -> prod (go a) (go b)
-    | Or (a, b) -> sum (go a) (go b)
-    | Not a -> negate (go a)
+    | True -> c.id
+    | False -> c.drop
+    | Test (f, v) -> atom c (f, v)
+    | And (a, b) -> prod c (go a) (go b)
+    | Or (a, b) -> sum c (go a) (go b)
+    | Not a -> negate c (go a)
   in
   go p
 
-let of_policy pol =
+let of_policy c pol =
   Syntax.check pol;
   let rec go = function
-    | Filter p -> of_pred p
-    | Mod (f, v) -> leaf [ Act.make [ (f, v) ] ]
-    | Union (a, b) -> sum (go a) (go b)
-    | Seq (a, b) -> seq (go a) (go b)
-    | Orelse (a, b) -> ors (go a) (go b)
-    | Police p -> leaf [ Act.make ~police:p [] ]
-    | Balance buckets -> leaf [ Act.make ~balance:buckets [] ]
+    | Filter p -> of_pred c p
+    | Mod (f, v) -> leaf c [ Act.make [ (f, v) ] ]
+    | Union (a, b) -> sum c (go a) (go b)
+    | Seq (a, b) -> seq c (go a) (go b)
+    | Orelse (a, b) -> ors c (go a) (go b)
+    | Police p -> leaf c [ Act.make ~police:p [] ]
+    | Balance buckets -> leaf c [ Act.make ~balance:buckets [] ]
   in
   go pol
 
@@ -331,19 +405,19 @@ let eval env d =
   in
   go d
 
-let strip_disc d =
-  let memo = Hashtbl.create 64 in
+let strip_disc c d =
+  let memo = Uid_tbl.create 64 in
   let rec go d =
-    match Hashtbl.find_opt memo d.uid with
+    match Uid_tbl.find_opt memo d.uid with
     | Some r -> r
     | None ->
         let r =
           match d.node with
           | Leaf acts ->
-              leaf (List.filter (fun a -> not (Act.is_plain_disc a)) acts)
-          | Branch (key, hi, lo) -> branch key (go hi) (go lo)
+              leaf c (List.filter (fun a -> not (Act.is_plain_disc a)) acts)
+          | Branch (key, hi, lo) -> branch c key (go hi) (go lo)
         in
-        Hashtbl.add memo d.uid r;
+        Uid_tbl.add memo d.uid r;
         r
   in
   go d
@@ -388,7 +462,8 @@ let rec pp ppf d =
            ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " , ")
            Act.pp)
         acts
-  | Branch (key, hi, lo) ->
-      Format.fprintf ppf "(%s ? %a : %a)" (key_to_string key) pp hi pp lo
+  | Branch ((f, v), hi, lo) ->
+      Format.fprintf ppf "(%s=%a ? %a : %a)" (field_name f) pp_value v pp hi
+        pp lo
 
 let to_string d = Format.asprintf "%a" pp d

@@ -3,9 +3,10 @@
     An FDD is a binary decision diagram whose internal nodes test a single
     [(field, value)] pair — true edge [hi], false edge [lo] — and whose
     leaves carry the {e set} of actions the policy performs on packets
-    reaching them.  Nodes are hash-consed, so semantic equality of the
-    represented functions coincides with physical equality of nodes (one
-    [==] or [uid] comparison), which is what the algebraic-law tests pin.
+    reaching them.  Nodes are hash-consed within a {!ctx}, so semantic
+    equality of the represented functions coincides with physical
+    equality of nodes (one [==] or [uid] comparison), which is what the
+    algebraic-law tests pin.
 
     Invariants maintained by the smart constructors:
     - keys strictly increase along every path (by {!Syntax.compare_key}:
@@ -65,37 +66,55 @@ type t = private { uid : int; node : node }
 and node = Leaf of Act.t list | Branch of key * t * t
 
 val equal : t -> t -> bool
-(** Physical (= semantic, by hash-consing) equality. *)
+(** Physical (= semantic, by hash-consing) equality, for two diagrams of
+    one context. *)
 
-val leaf : Act.t list -> t
-val drop : t
-val id : t
-val branch : key -> t -> t -> t
-val atom : key -> t
-val natom : key -> t
+(** {1 Contexts}
 
-val sum : t -> t -> t
+    A context owns the hash-consing tables, the operation memos and the
+    uid counter.  Every diagram is built in one context and must only be
+    combined or compared with diagrams of the same context: uids are
+    per-context, so across contexts {!equal} is meaningless.  A context
+    lives as long as its last diagram; {!Compile.compile} makes one per
+    call and drops it, so memory is bounded by a single compile. *)
+
+type ctx
+
+val context : unit -> ctx
+(** A fresh, empty context. *)
+
+val leaf : ctx -> Act.t list -> t
+val drop : ctx -> t
+val id : ctx -> t
+val branch : ctx -> key -> t -> t -> t
+(** [branch c key hi lo] tests [key]; [hi] and [lo] may test only keys
+    greater than [key] (the ordered-diagram invariant is the caller's). *)
+
+val atom : ctx -> key -> t
+val natom : ctx -> key -> t
+
+val sum : ctx -> t -> t -> t
 (** Union: pointwise set union of leaf action sets. *)
 
-val prod : t -> t -> t
-(** [prod pred d] guards [d] by a {e predicate} diagram (leaves [[]] or
+val prod : ctx -> t -> t -> t
+(** [prod c pred d] guards [d] by a {e predicate} diagram (leaves [[]] or
     [[id]] only). @raise Invalid_argument if the left operand is not one. *)
 
-val ors : t -> t -> t
+val ors : ctx -> t -> t -> t
 (** Fallback: where the left diagram's leaf is empty, use the right's. *)
 
-val seq : t -> t -> t
+val seq : ctx -> t -> t -> t
 (** Sequential composition: resolves the right diagram's tests against the
     left's modifications symbolically.
     @raise Invalid_argument on a test/modification/meter after [Balance] or
     a second meter in sequence. *)
 
-val negate : t -> t
+val negate : ctx -> t -> t
 (** @raise Invalid_argument on a non-predicate diagram. *)
 
-val of_pred : Syntax.pred -> t
+val of_pred : ctx -> Syntax.pred -> t
 
-val of_policy : Syntax.t -> t
+val of_policy : ctx -> Syntax.t -> t
 (** Checks well-formedness ({!Syntax.check}) then compiles.
     @raise Invalid_argument as {!Syntax.check}, {!seq} or {!negate} do. *)
 
@@ -103,7 +122,7 @@ val eval : (Syntax.field -> Syntax.value option) -> t -> Act.t list
 (** Walk the diagram under a field valuation ([None] = field absent; a test
     on an absent field takes the [lo] edge). *)
 
-val strip_disc : t -> t
+val strip_disc : ctx -> t -> t
 (** Quotient by output observability: plain-discard actions
     ({!Act.is_plain_disc}) are removed from every leaf, so a leaf of
     discards alone becomes {!drop}.  The distinctions are kept during

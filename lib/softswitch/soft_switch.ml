@@ -78,10 +78,14 @@ let crash t =
     t.connected <- false;
     t.crashes <- t.crashes + 1;
     Hashtbl.reset t.local_macs;
-    (* Soft state dies with the process: every flow table empties. *)
+    (* Soft state dies with the process: every flow, group and meter
+       table empties, so the controller's replay on reconnect re-adds
+       them from scratch. *)
     for i = 0 to Pipeline.num_tables t.pipeline - 1 do
       Flow_table.clear (Pipeline.table t.pipeline i)
-    done
+    done;
+    Group_table.clear (Pipeline.groups t.pipeline);
+    Meter_table.clear (Pipeline.meters t.pipeline)
   end
 
 let restart t = t.alive <- true

@@ -76,9 +76,9 @@ val set_connected : t -> bool -> unit
 val connected : t -> bool
 
 val crash : t -> unit
-(** Kill the switch process: all flow tables and learned state are wiped,
-    every packet is dropped (counted as ["drop_crashed"]) and the agent
-    answers no OpenFlow messages until {!restart}. *)
+(** Kill the switch process: all flow, group and meter tables and learned
+    state are wiped, every packet is dropped (counted as ["drop_crashed"])
+    and the agent answers no OpenFlow messages until {!restart}. *)
 
 val restart : t -> unit
 (** Bring a crashed switch back up — empty tables, disconnected until the

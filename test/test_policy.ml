@@ -110,68 +110,80 @@ let fdd_eq name a b =
 
 (* ---- FDD algebraic laws ---- *)
 
+(* A diagram in a context of its own. *)
+let pol p = Fdd.of_policy (Fdd.context ()) p
+
+(* Each property builds all its diagrams in one fresh context: uids (and
+   so [Fdd.equal]) are per-context. *)
+let on_policies f = f (Fdd.of_policy (Fdd.context ()))
+let on_preds f = f (Fdd.of_pred (Fdd.context ()))
+
 let law_tests =
   [
     prop "union idempotent" gen_policy ~print:print_policy (fun p ->
-        fdd_eq "p + p = p" (Fdd.of_policy (Syn.union p p)) (Fdd.of_policy p));
+        on_policies (fun pol ->
+            fdd_eq "p + p = p" (pol (Syn.union p p)) (pol p)));
     prop "union commutative" gen_policy2 ~print:print_policy2 (fun (p, q) ->
-        fdd_eq "p + q = q + p"
-          (Fdd.of_policy (Syn.union p q))
-          (Fdd.of_policy (Syn.union q p)));
+        on_policies (fun pol ->
+            fdd_eq "p + q = q + p" (pol (Syn.union p q)) (pol (Syn.union q p))));
     prop "union associative" gen_policy3 ~print:print_policy3 (fun (p, q, r) ->
-        fdd_eq "(p + q) + r = p + (q + r)"
-          (Fdd.of_policy (Syn.union (Syn.union p q) r))
-          (Fdd.of_policy (Syn.union p (Syn.union q r))));
+        on_policies (fun pol ->
+            fdd_eq "(p + q) + r = p + (q + r)"
+              (pol (Syn.union (Syn.union p q) r))
+              (pol (Syn.union p (Syn.union q r)))));
     prop "seq associative" gen_policy3 ~print:print_policy3 (fun (p, q, r) ->
-        fdd_eq "(p ; q) ; r = p ; (q ; r)"
-          (Fdd.of_policy (Syn.seq (Syn.seq p q) r))
-          (Fdd.of_policy (Syn.seq p (Syn.seq q r))));
+        on_policies (fun pol ->
+            fdd_eq "(p ; q) ; r = p ; (q ; r)"
+              (pol (Syn.seq (Syn.seq p q) r))
+              (pol (Syn.seq p (Syn.seq q r)))));
     prop "orelse associative" gen_policy3 ~print:print_policy3
       (fun (p, q, r) ->
-        fdd_eq "(p |? q) |? r = p |? (q |? r)"
-          (Fdd.of_policy (Syn.orelse (Syn.orelse p q) r))
-          (Fdd.of_policy (Syn.orelse p (Syn.orelse q r))));
+        on_policies (fun pol ->
+            fdd_eq "(p |? q) |? r = p |? (q |? r)"
+              (pol (Syn.orelse (Syn.orelse p q) r))
+              (pol (Syn.orelse p (Syn.orelse q r)))));
     prop "negation involution" gen_pred ~print:print_pred (fun a ->
-        fdd_eq "!!a = a"
-          (Fdd.of_pred (Syn.neg (Syn.neg a)))
-          (Fdd.of_pred a));
+        on_preds (fun pred ->
+            fdd_eq "!!a = a" (pred (Syn.neg (Syn.neg a))) (pred a)));
     prop "De Morgan" (QCheck2.Gen.pair gen_pred gen_pred)
       ~print:(fun (a, b) -> print_pred a ^ " || " ^ print_pred b)
       (fun (a, b) ->
-        fdd_eq "!(a & b) = !a + !b"
-          (Fdd.of_pred (Syn.neg (Syn.And (a, b))))
-          (Fdd.of_pred (Syn.Or (Syn.neg a, Syn.neg b))));
+        on_preds (fun pred ->
+            fdd_eq "!(a & b) = !a + !b"
+              (pred (Syn.neg (Syn.And (a, b))))
+              (pred (Syn.Or (Syn.neg a, Syn.neg b)))));
     prop "conjunction commutes (canonical test order)"
       (QCheck2.Gen.pair gen_pred gen_pred)
       ~print:(fun (a, b) -> print_pred a ^ " || " ^ print_pred b)
       (fun (a, b) ->
-        fdd_eq "a & b = b & a"
-          (Fdd.of_pred (Syn.And (a, b)))
-          (Fdd.of_pred (Syn.And (b, a))));
+        on_preds (fun pred ->
+            fdd_eq "a & b = b & a" (pred (Syn.And (a, b))) (pred (Syn.And (b, a)))));
     prop "filter of conjunction = seq of filters" gen_pred ~print:print_pred
       (fun a ->
-        fdd_eq "filter (a & a') = filter a ; filter a'"
-          (Fdd.of_policy (Syn.filter (Syn.And (a, a))))
-          (Fdd.of_policy (Syn.filter a)));
+        on_policies (fun pol ->
+            fdd_eq "filter (a & a') = filter a ; filter a'"
+              (pol (Syn.filter (Syn.And (a, a))))
+              (pol (Syn.filter a))));
     prop "seq drop absorbing" gen_policy ~print:print_policy (fun p ->
+        let c = Fdd.context () in
         fdd_eq "p ; drop = drop"
-          (Fdd.of_policy (Syn.seq p Syn.drop))
-          Fdd.drop);
+          (Fdd.of_policy c (Syn.seq p Syn.drop))
+          (Fdd.drop c));
     prop "seq id units" gen_policy ~print:print_policy (fun p ->
-        let d = Fdd.of_policy p in
-        ignore (fdd_eq "id ; p = p" (Fdd.of_policy (Syn.seq Syn.id p)) d);
-        fdd_eq "p ; id = p" (Fdd.of_policy (Syn.seq p Syn.id)) d);
+        on_policies (fun pol ->
+            let d = pol p in
+            ignore (fdd_eq "id ; p = p" (pol (Syn.seq Syn.id p)) d);
+            fdd_eq "p ; id = p" (pol (Syn.seq p Syn.id)) d));
     prop "union drop unit" gen_policy ~print:print_policy (fun p ->
-        fdd_eq "p + drop = p"
-          (Fdd.of_policy (Syn.union p Syn.drop))
-          (Fdd.of_policy p));
+        on_policies (fun pol ->
+            fdd_eq "p + drop = p" (pol (Syn.union p Syn.drop)) (pol p)));
     prop "orelse drop unit, orelse idempotent" gen_policy ~print:print_policy
       (fun p ->
-        let d = Fdd.of_policy p in
-        ignore
-          (fdd_eq "drop |? p = p" (Fdd.of_policy (Syn.orelse Syn.drop p)) d);
-        ignore (fdd_eq "p |? drop = p" (Fdd.of_policy (Syn.orelse p Syn.drop)) d);
-        fdd_eq "p |? p = p" (Fdd.of_policy (Syn.orelse p p)) d);
+        on_policies (fun pol ->
+            let d = pol p in
+            ignore (fdd_eq "drop |? p = p" (pol (Syn.orelse Syn.drop p)) d);
+            ignore (fdd_eq "p |? drop = p" (pol (Syn.orelse p Syn.drop)) d);
+            fdd_eq "p |? p = p" (pol (Syn.orelse p p)) d));
     prop "compile idempotent (same rendered table)" gen_policy
       ~print:print_policy (fun p ->
         let r1 = Compile.render (Compile.compile p) in
@@ -187,33 +199,32 @@ let structure_tests =
   [
     tc "field order puts Loc at the root" (fun () ->
         let d =
-          Fdd.of_pred (Syn.And (Syn.ip_src_is (ip "10.0.0.1"), Syn.in_port 2))
+          Fdd.of_pred (Fdd.context ())
+            (Syn.And (Syn.ip_src_is (ip "10.0.0.1"), Syn.in_port 2))
         in
         match d.Fdd.node with
         | Fdd.Branch ((Syn.Loc, _), _, _) -> ()
         | _ -> Alcotest.failf "root is not a Loc test:@.%s" (Fdd.to_string d));
     tc "complementary guards collapse to one leaf" (fun () ->
         let a = Syn.eth_dst_is (mac 7) in
+        let c = Fdd.context () in
         let d =
-          Fdd.of_policy
+          Fdd.of_policy c
             (Syn.union
                (Syn.seq (Syn.filter a) (Syn.fwd 1))
                (Syn.seq (Syn.filter (Syn.neg a)) (Syn.fwd 1)))
         in
         check Alcotest.bool "same as unconditional forward" true
-          (Fdd.equal d (Fdd.of_policy (Syn.fwd 1))));
+          (Fdd.equal d (Fdd.of_policy c (Syn.fwd 1))));
     tc "hash-consing shares equal subtrees" (fun () ->
         let frag =
           Syn.seq (Syn.filter (Syn.eth_dst_is (mac 1))) (Syn.fwd 1)
         in
         check Alcotest.int "union with itself adds no nodes"
-          (Fdd.size (Fdd.of_policy frag))
-          (Fdd.size (Fdd.of_policy (Syn.union frag frag))));
+          (Fdd.size (pol frag))
+          (Fdd.size (pol (Syn.union frag frag))));
     tc "eval walks to the right leaf" (fun () ->
-        let d =
-          Fdd.of_policy
-            (Syn.seq (Syn.filter (Syn.in_port 2)) (Syn.fwd 3))
-        in
+        let d = pol (Syn.seq (Syn.filter (Syn.in_port 2)) (Syn.fwd 3)) in
         let env = function
           | Syn.Loc -> Some (Syn.At (Syn.Phys 2))
           | _ -> None
@@ -307,6 +318,143 @@ let compile_tests =
         check Alcotest.bool
           (Printf.sprintf "composed %d <= separate %d" composed separate)
           true (composed <= separate));
+  ]
+
+(* ---- churned gateways: the live-edit stream of the gateway-churn
+   benchmark — each edit swaps the oldest of three parental deny-list
+   entries for a fresh one and re-picks subscriber 0's rate ---- *)
+
+let churn_rates = [| 256; 512; 1024; 2048; 4096 |]
+
+(* [deny_lists ~seed ~users ~sites] returns a generator of successive
+   three-entry deny lists, each one entry away from the last. *)
+let deny_lists ~seed ~users ~sites =
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let rec fresh blocked =
+    let e = (pick users, pick sites) in
+    if List.mem e blocked then fresh blocked else e
+  in
+  let blocked = ref [] in
+  for _ = 1 to 3 do
+    blocked := !blocked @ [ fresh !blocked ]
+  done;
+  fun () ->
+    blocked := List.tl !blocked @ [ fresh !blocked ];
+    (!blocked, Random.State.int rng (Array.length churn_rates))
+
+let churn_sites =
+  List.init 6 (fun i ->
+      (Printf.sprintf "site%d.example" i, Ipv4_addr.of_octets 203 0 113 (i + 1)))
+
+(* A generator of successive churned gateway policies. *)
+let churned_gateways ~seed =
+  let base = Sdnctl.Gateway.default () in
+  let users = List.map (fun s -> s.Sdnctl.Gateway.sub_ip) base.Sdnctl.Gateway.subscribers in
+  let next = deny_lists ~seed ~users ~sites:(List.map fst churn_sites) in
+  fun () ->
+    let blocked, rate = next () in
+    Sdnctl.Gateway.policy
+      {
+        base with
+        Sdnctl.Gateway.parental =
+          Sdnctl.Parental_control.create ~sites:churn_sites ~blocked ();
+        limits =
+          [
+            {
+              Sdnctl.Rate_limiter.subject = List.hd users;
+              rate_kbps = churn_rates.(rate);
+              burst_kb = 16;
+            };
+          ];
+      }
+
+(* The same edits on the standalone parental spec's users and sites
+   ("nosuch.example" is unresolved, so it compiles to a sniff rule). *)
+let churned_parental ~seed =
+  let sites =
+    [ ("blocked.example", ip "203.0.113.5"); ("other.example", ip "203.0.113.7") ]
+  in
+  let next =
+    deny_lists ~seed
+      ~users:[ ip "10.5.0.1"; ip "10.5.0.2"; ip "10.5.0.3" ]
+      ~sites:[ "blocked.example"; "other.example"; "nosuch.example" ]
+  in
+  fun () ->
+    let blocked, _ = next () in
+    Sdnctl.Parental_control.fragment
+      (Sdnctl.Parental_control.create ~sites ~blocked ())
+
+(* ---- differential: the path-cube minimiser against the shadow-union
+   one it replaced (Ref_compile) ---- *)
+
+let dump flows groups meters =
+  List.map (fun m -> Openflow.Of_message.Meter_mod m) meters
+  @ List.map (fun g -> Openflow.Of_message.Group_mod g) groups
+  @ List.map (fun f -> Openflow.Of_message.Flow_mod f) flows
+  |> List.map (Format.asprintf "%a" Openflow.Of_message.pp)
+  |> String.concat "\n"
+
+(* [None] when both compilers emit the same mods in the same order. *)
+let differs p =
+  let c = Compile.compile p and r = Ref_compile.compile p in
+  let got = (Compile.flow_mods c, Compile.group_mods c, Compile.meter_mods c)
+  and want = Ref_compile.(r.flow_mods, r.group_mods, r.meter_mods) in
+  if got = want then None
+  else
+    let dump (f, g, m) = dump f g m in
+    Some (Printf.sprintf "compile:@.%s@.reference:@.%s" (dump got) (dump want))
+
+let differential_tests =
+  [
+    prop "random policies: same mods as the shadow-union minimiser" ~count:200
+      gen_policy ~print:print_policy (fun p ->
+        match differs p with
+        | None -> true
+        | Some d -> QCheck2.Test.fail_reportf "%s" d);
+    tc "specs and churned edits: same mods as the shadow-union minimiser"
+      (fun () ->
+        let same what p =
+          Option.iter (Alcotest.failf "%s:@.%s" what) (differs p)
+        in
+        List.iter (fun sp -> same sp.PE.spec_name sp.PE.policy) (PE.specs ());
+        let gateway = churned_gateways ~seed:7 in
+        let parental = churned_parental ~seed:7 in
+        for k = 1 to 40 do
+          same (Printf.sprintf "gateway edit %d" k) (gateway ());
+          same (Printf.sprintf "parental edit %d" k) (parental ())
+        done);
+  ]
+
+(* ---- bounded memory: each compile owns its tables ---- *)
+
+(* Live major-heap words after a compaction: what a leaking table grows.
+   [heap_words] is no gauge here — OCaml 5.1 reuses pools without
+   returning them, so it wanders by a fifth between identical states. *)
+let live_words () =
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
+
+let memory_tests =
+  [
+    tc "500 churned compiles: heap flat, output unchanged" (fun () ->
+        let p = (Option.get (PE.find_spec "gateway")).PE.policy in
+        let before = Compile.render (Compile.compile p) in
+        let next = churned_gateways ~seed:3 in
+        let at50 = ref 0 in
+        for k = 1 to 500 do
+          ignore (Sys.opaque_identity (Compile.compile (next ())));
+          if k = 50 then at50 := live_words ()
+        done;
+        let at500 = live_words () in
+        check Alcotest.bool
+          (Printf.sprintf
+             "live heap %d words at update 500 within 10%% of %d at 50" at500
+             !at50)
+          true
+          (float_of_int at500 <= 1.1 *. float_of_int !at50);
+        check Alcotest.string "same render before and after" before
+          (Compile.render (Compile.compile p)));
   ]
 
 (* ---- interpreter semantics units ---- *)
@@ -510,6 +658,8 @@ let suite =
     ("policy.fdd-laws", law_tests);
     ("policy.fdd-structure", structure_tests);
     ("policy.compile", compile_tests);
+    ("policy.differential", differential_tests);
+    ("policy.memory", memory_tests);
     ("policy.interp", interp_tests);
     ("policy.golden", golden_tests);
     ("policy.equivalence", equiv_tests @ harness_tests);
