@@ -324,11 +324,11 @@ let meter_tests =
 (* ---- trace/* : the observability tax ----
 
    The pair prices the tracing hook both ways: "emit-noop" is the
-   instrumented-site idiom with no sink installed (one ref read, no
+   instrumented-site idiom with no recorder installed (one ref read, no
    allocation — see the matching no-alloc test), "emit-collector" is
-   the same hop landing in a Collector (including the sink
-   install/remove ref writes the closure needs to keep the global sink
-   honest between tests). *)
+   the same hop landing in a Collector (including the install/remove
+   ref writes that keep the installed-recorder slot honest between
+   tests). *)
 
 let trace_tests =
   let pkt =

@@ -201,20 +201,13 @@ let build_scenario () =
 let run_trace format chrome_out =
   let engine, deployment, _ctrl, ping = build_scenario () in
   (* Steady state reached: trace the second ping. *)
-  let (), traces_and_hops =
-    let collector = Telemetry.Trace.Collector.create () in
-    Telemetry.Trace.Collector.install collector;
-    Fun.protect
-      ~finally:(fun () -> Telemetry.Trace.Collector.uninstall collector)
-      (fun () ->
+  let hops, traces =
+    Telemetry.Trace.with_collector (fun collector ->
         ping ~seq:2 0 1;
         Simnet.Engine.run engine
-          ~until:(Simnet.Sim_time.of_ns (Simnet.Sim_time.ms 100)));
-    ( (),
-      ( Telemetry.Trace.Collector.traces collector,
-        Telemetry.Trace.Collector.hops collector ) )
+          ~until:(Simnet.Sim_time.of_ns (Simnet.Sim_time.ms 100));
+        Telemetry.Trace.Collector.hops collector)
   in
-  let traces, hops = traces_and_hops in
   let view = Harmless.Trace_view.of_deployment deployment in
   let spans =
     Telemetry.Span.of_traces

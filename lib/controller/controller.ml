@@ -6,9 +6,13 @@ type t = {
   channel_config : Channel.config option;
   mutable apps : app list;
   switches : (int64, Channel.t) Hashtbl.t;
-  (* State-bearing messages (flow/group/meter-mods) per datapath, newest
-     first — replayed to resynchronize a switch after a reconnect. *)
-  state_log : (int64, Of_message.t list ref) Hashtbl.t;
+  (* What each datapath should hold, replayed to resynchronize a switch
+     after a reconnect.  Flow-mods are a log, newest first: OFPFC_ADD
+     replaces an identical match+priority entry, so the replay is
+     idempotent.  A second add of a group or meter id is an error, so
+     those are net state: per id, the messages that restore it. *)
+  flow_log : (int64, Of_message.t list) Hashtbl.t;
+  net_state : (int64 * [ `Group of int | `Meter of int ], Of_message.t list) Hashtbl.t;
   mutable packet_ins : int;
   mutable packet_outs : int;
   mutable flow_mods_sent : int;
@@ -47,7 +51,8 @@ let create engine ?channel_latency ?channel_config () =
     channel_config;
     apps = [];
     switches = Hashtbl.create 8;
-    state_log = Hashtbl.create 8;
+    flow_log = Hashtbl.create 8;
+    net_state = Hashtbl.create 8;
     packet_ins = 0;
     packet_outs = 0;
     flow_mods_sent = 0;
@@ -68,18 +73,34 @@ let channel t dpid =
   | Some ch -> ch
   | None -> raise Not_found
 
+(* A switch that only lost its channel kept its groups and meters; a
+   crashed one lost them.  A delete (a no-op for an absent id) followed
+   by the add of the id's net state restores it either way. *)
 let log_state t dpid msg =
+  let restore key msgs = Hashtbl.replace t.net_state (dpid, key) msgs in
   match msg with
-  | Of_message.Flow_mod _ | Of_message.Group_mod _ | Of_message.Meter_mod _ ->
-      let log =
-        match Hashtbl.find_opt t.state_log dpid with
-        | Some log -> log
-        | None ->
-            let log = ref [] in
-            Hashtbl.replace t.state_log dpid log;
-            log
-      in
-      log := msg :: !log
+  | Of_message.Flow_mod _ ->
+      Hashtbl.replace t.flow_log dpid
+        (msg :: Option.value ~default:[] (Hashtbl.find_opt t.flow_log dpid))
+  | Of_message.Group_mod
+      (Of_message.Add_group { id; gtype; buckets }
+      | Of_message.Modify_group { id; gtype; buckets }) ->
+      restore (`Group id)
+        Of_message.
+          [
+            Group_mod (Delete_group { id });
+            Group_mod (Add_group { id; gtype; buckets });
+          ]
+  | Of_message.Group_mod (Of_message.Delete_group { id }) ->
+      restore (`Group id) [ msg ]
+  | Of_message.Meter_mod
+      (Of_message.Add_meter { id; band } | Of_message.Modify_meter { id; band })
+    ->
+      restore (`Meter id)
+        Of_message.
+          [ Meter_mod (Delete_meter { id }); Meter_mod (Add_meter { id; band }) ]
+  | Of_message.Meter_mod (Of_message.Delete_meter { id }) ->
+      restore (`Meter id) [ msg ]
   | _ -> ()
 
 let send t dpid msg =
@@ -90,12 +111,15 @@ let resync t dpid ch =
   t.resyncs <- t.resyncs + 1;
   Channel.to_switch ch Of_message.Hello;
   Channel.to_switch ch Of_message.Features_request;
-  (* Replay in original send order; OFPFC_ADD replaces identical
-     match+priority entries, so the replay is idempotent on a switch
-     that kept its tables and restorative on one that lost them. *)
-  match Hashtbl.find_opt t.state_log dpid with
-  | Some log -> List.iter (Channel.to_switch ch) (List.rev !log)
-  | None -> ()
+  (* Groups and meters first, so they exist before the flows that use
+     them; then the flow log in original send order. *)
+  Hashtbl.fold
+    (fun (d, key) msgs acc -> if Int64.equal d dpid then (key, msgs) :: acc else acc)
+    t.net_state []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (_, msgs) -> List.iter (Channel.to_switch ch) msgs);
+  List.iter (Channel.to_switch ch)
+    (List.rev (Option.value ~default:[] (Hashtbl.find_opt t.flow_log dpid)))
 
 let install t dpid fm =
   t.flow_mods_sent <- t.flow_mods_sent + 1;
@@ -137,8 +161,8 @@ let dispatch_packet_in t dpid ~in_port reason packet =
   (* The control↔dataplane join: the event's correlation id is the
      packet's trace key, so a post-mortem can pair this decision with
      the packet's hop spans. *)
-  if Telemetry.Eventlog.enabled () then
-    Telemetry.Eventlog.emit ~level:Telemetry.Eventlog.Debug
+  if Telemetry.Trace.enabled () then
+    Telemetry.Trace.event ~level:Telemetry.Trace.Debug
       ~ts_ns:(Simnet.Sim_time.to_ns (Simnet.Engine.now t.engine))
       ~corr:(Telemetry.Trace.key_of_packet packet)
       ~detail:(Printf.sprintf "dpid:%Lx port=%d" dpid in_port)

@@ -305,16 +305,19 @@ let run_recorded t ~recorder ~script ~duration ~ping_interval =
     let probe_before = answered t in
     let n = Array.length t.hosts in
     let probe_pairs = n * (n - 1) in
-    (* The recovery probe runs under a trace collector so the report can
-       also say how long each forwarding stage took after healing — the
-       per-stage latency SLIs. *)
-    let (), probe_traces =
-      Telemetry.Trace.with_collector (fun _collector ->
-          for k = 0 to probe_pairs - 1 do
-            ping_pair t k
-          done;
-          Engine.run t.engine
-            ~until:(Sim_time.add (Engine.now t.engine) (Sim_time.ms 20)))
+    (* The recorder has traced the storm too; the recovery probe's
+       traces are the hops recorded after this watermark, so the report
+       can say how long each forwarding stage took after healing — the
+       per-stage latency SLIs.  Selecting by seq rather than by trace
+       key keeps a storm frame byte-identical to a probe frame out. *)
+    let probe_mark = Telemetry.Trace.Collector.last_seq recorder in
+    for k = 0 to probe_pairs - 1 do
+      ping_pair t k
+    done;
+    Engine.run t.engine
+      ~until:(Sim_time.add (Engine.now t.engine) (Sim_time.ms 20));
+    let probe_traces =
+      Telemetry.Trace.Collector.traces ~after:probe_mark recorder
     in
     let probe_answered = answered t - probe_before in
     let stage_slis =
@@ -386,24 +389,19 @@ let run_recorded t ~recorder ~script ~duration ~ping_interval =
         postmortem;
       }
 
-(* The whole run happens under a freshly installed flight recorder (the
-   previous one, if any, is restored afterwards): every fault injection,
-   channel drop, retry, failover and alert transition lands in the event
-   log, and the end of the run captures a post-mortem snapshot when
-   anything trigger-worthy happened. *)
+(* The whole run happens under a freshly installed flight recorder on
+   the engine clock (the previous one, if any, is restored afterwards):
+   every hop, fault injection, channel drop, retry, failover and alert
+   transition lands in it, and the end of the run captures a post-mortem
+   snapshot when anything trigger-worthy happened. *)
 let run t ~script ~duration ?(ping_interval = Sim_time.ms 1) () =
   if duration <= 0 then Error "chaos: duration must be positive"
   else
-    let result, _retained =
-      Telemetry.Eventlog.with_recorder (fun recorder ->
-          Telemetry.Eventlog.set_clock
-            (Some (fun () -> Sim_time.to_ns (Engine.now t.engine)));
-          Fun.protect
-            ~finally:(fun () -> Telemetry.Eventlog.set_clock None)
-            (fun () ->
-              run_recorded t ~recorder ~script ~duration ~ping_interval))
-    in
-    result
+    fst
+      (Telemetry.Trace.with_collector
+         ~clock:(fun () -> Sim_time.to_ns (Engine.now t.engine))
+         (fun recorder ->
+           run_recorded t ~recorder ~script ~duration ~ping_interval))
 
 let pp_report ppf r =
   let open Format in
@@ -473,6 +471,6 @@ let pp_report ppf r =
         (List.length s.Telemetry.Postmortem.triggers)
         (match tl.Telemetry.Postmortem.root_cause with
         | Some e ->
-            e.Telemetry.Eventlog.stream ^ "." ^ e.Telemetry.Eventlog.name
+            e.Telemetry.Trace.stream ^ "." ^ e.Telemetry.Trace.name
         | None -> "unknown"));
   fprintf ppf "@]"

@@ -19,8 +19,8 @@
 
     Nesting is fine: an inner probe's own bookkeeping (one array push)
     is charged to the enclosing probe — a constant, documented tax.
-    The recorder is process-global, single-domain, like the trace
-    sink. *)
+    The recorder is process-global, single-domain, like the installed
+    flight recorder. *)
 
 type t
 (** A recorder: per-site sample sets, keyed by the probe name. *)

@@ -27,10 +27,10 @@ let us_of_ns ns = float_of_int ns /. 1e3
    thread per stream, carrying the correlation id in args in the same
    "%08x" form as the hops' trace_key — Perfetto's args search joins
    the two. *)
-let eventlog_events tid_base (events : Eventlog.event list) =
+let control_events tid_base (events : Trace.event list) =
   let streams =
     List.sort_uniq String.compare
-      (List.map (fun (e : Eventlog.event) -> e.Eventlog.stream) events)
+      (List.map (fun (e : Trace.event) -> e.Trace.stream) events)
   in
   let tid_of =
     List.mapi (fun i stream -> (stream, tid_base + i)) streams
@@ -49,29 +49,29 @@ let eventlog_events tid_base (events : Eventlog.event list) =
           ])
       tid_of
   in
-  let instant (e : Eventlog.event) =
+  let instant (e : Trace.event) =
     let args =
       [
-        ("level", Json.Str (Eventlog.level_name e.Eventlog.level));
-        ("seq", Json.Int e.Eventlog.seq);
+        ("level", Json.Str (Trace.level_name e.Trace.level));
+        ("seq", Json.Int e.Trace.seq);
       ]
-      @ (if e.Eventlog.corr <> 0 then
-           [ ("trace_key", Json.Str (Printf.sprintf "%08x" e.Eventlog.corr)) ]
+      @ (if e.Trace.corr <> 0 then
+           [ ("trace_key", Json.Str (Printf.sprintf "%08x" e.Trace.corr)) ]
          else [])
       @
-      if e.Eventlog.detail <> "" then
-        [ ("detail", Json.Str e.Eventlog.detail) ]
+      if e.Trace.detail <> "" then
+        [ ("detail", Json.Str e.Trace.detail) ]
       else []
     in
     Json.Obj
       [
-        ("name", Json.Str (e.Eventlog.stream ^ "." ^ e.Eventlog.name));
+        ("name", Json.Str (e.Trace.stream ^ "." ^ e.Trace.name));
         ("cat", Json.Str "eventlog");
         ("ph", Json.Str "i");
         ("s", Json.Str "t");
-        ("ts", Json.Float (us_of_ns e.Eventlog.ts_ns));
+        ("ts", Json.Float (us_of_ns e.Trace.ts_ns));
         ("pid", Json.Int pid);
-        ("tid", Json.Int (List.assoc e.Eventlog.stream tid_of));
+        ("tid", Json.Int (List.assoc e.Trace.stream tid_of));
         ("args", Json.Obj args);
       ]
   in
@@ -125,7 +125,7 @@ let to_json ?(cycles_per_us = 2400.0) ?(spans = []) ?(events = []) hops =
     (meta
     @ List.map event hops
     @ Span.chrome_events spans
-    @ eventlog_events (List.length components + 1) events)
+    @ control_events (List.length components + 1) events)
 
 let to_string ?cycles_per_us ?spans ?events hops =
   Json.to_string_lines (to_json ?cycles_per_us ?spans ?events hops)

@@ -7,7 +7,7 @@
     given — async ["b"]/["e"] pairs rendering the causal span tree
     (see {!Span}) as per-packet tracks, then — when [events] is given —
     instant ("i") events rendering flight-recorder events (see
-    {!Eventlog}) on one pseudo thread per stream.  Correlated events
+    {!Trace.event}) on one pseudo thread per stream.  Correlated events
     carry their id in [args.trace_key] in the same ["%08x"] form the
     hops use, so an args search in Perfetto joins a control-plane
     decision to the packet that triggered it.  Load the file in
@@ -16,7 +16,7 @@
 val to_json :
   ?cycles_per_us:float ->
   ?spans:Span.t list ->
-  ?events:Eventlog.event list ->
+  ?events:Trace.event list ->
   Trace.hop list ->
   Json.t
 (** [cycles_per_us] converts hop cycle costs to event durations
@@ -27,7 +27,7 @@ val to_json :
 val to_string :
   ?cycles_per_us:float ->
   ?spans:Span.t list ->
-  ?events:Eventlog.event list ->
+  ?events:Trace.event list ->
   Trace.hop list ->
   string
 (** One event per line, pinned by a golden test. *)
@@ -35,7 +35,7 @@ val to_string :
 val save :
   ?cycles_per_us:float ->
   ?spans:Span.t list ->
-  ?events:Eventlog.event list ->
+  ?events:Trace.event list ->
   Trace.hop list ->
   path:string ->
   unit

@@ -3,15 +3,15 @@ type snapshot = {
   seed : int;
   captured_ns : int;
   window_start_ns : int;
-  triggers : Eventlog.event list;
-  events : Eventlog.event list;
+  triggers : Trace.event list;
+  events : Trace.event list;
   spans : Span.t list;
   series : (string * (int * float) list) list;
 }
 
 let schema = "harmless-postmortem/1"
 
-let default_trigger (e : Eventlog.event) =
+let default_trigger (e : Trace.event) =
   match (e.stream, e.name) with
   | "fault", _ -> true
   | "alert", "firing" -> true
@@ -27,17 +27,17 @@ let capture ?(trigger = default_trigger) ?(pre_window_ns = 5_000_000) ?(spans = 
     ?(series = []) ~scenario ~seed ~captured_ns recorder =
   if not (is_token scenario) then
     invalid_arg "Postmortem.capture: scenario must be a non-empty token";
-  let all = Eventlog.events recorder in
+  let all = Trace.Collector.events recorder in
   match List.filter trigger all with
   | [] -> None
   | first :: _ as triggers ->
-      let window_start_ns = max 0 (first.Eventlog.ts_ns - pre_window_ns) in
+      let window_start_ns = max 0 (first.Trace.ts_ns - pre_window_ns) in
       let events =
-        List.filter (fun (e : Eventlog.event) -> e.ts_ns >= window_start_ns) all
+        List.filter (fun (e : Trace.event) -> e.ts_ns >= window_start_ns) all
       in
       let corrs =
         List.fold_left
-          (fun acc (e : Eventlog.event) ->
+          (fun acc (e : Trace.event) ->
             if e.corr = 0 then acc else e.corr :: acc)
           [] events
       in
@@ -70,6 +70,13 @@ let split_word s =
   | None -> (s, "")
   | Some i ->
       (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+
+(* Every line parser accepts exactly what the renderer writes: parse
+   leniently, then keep the value only if rendering it gives the line
+   back.  [int_of_string] alone would also take "1_0", "+1" or "0b101". *)
+let canonical what render line v =
+  if render v = line then Ok v
+  else Error (Printf.sprintf "malformed %s line %S" what line)
 
 let span_of_string line =
   let kw, rest = split_word line in
@@ -108,7 +115,7 @@ let span_of_string line =
         Some begin_words,
         Some end_words )
       when name <> "" ->
-        Ok
+        canonical "span" span_to_string line
           {
             Span.id;
             parent;
@@ -124,6 +131,15 @@ let span_of_string line =
           }
     | _ -> Error (Printf.sprintf "malformed span line %S" line)
 
+let point_to_string (t, v) = Printf.sprintf "point %d %s" t (Json.float_repr v)
+
+let point_of_string line =
+  let kw, rest = split_word line in
+  let t_s, v_s = split_word rest in
+  match (kw, int_of_string_opt t_s, float_of_string_opt v_s) with
+  | "point", Some t, Some v -> canonical "point" point_to_string line (t, v)
+  | _ -> Error (Printf.sprintf "malformed point line %S" line)
+
 let to_string snap =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -133,18 +149,16 @@ let to_string snap =
   add "captured %d\n" snap.captured_ns;
   add "window %d %d\n" snap.window_start_ns snap.captured_ns;
   add "triggers %d\n" (List.length snap.triggers);
-  List.iter (fun e -> add "%s\n" (Eventlog.event_to_string e)) snap.triggers;
+  List.iter (fun e -> add "%s\n" (Trace.event_to_string e)) snap.triggers;
   add "events %d\n" (List.length snap.events);
-  List.iter (fun e -> add "%s\n" (Eventlog.event_to_string e)) snap.events;
+  List.iter (fun e -> add "%s\n" (Trace.event_to_string e)) snap.events;
   add "spans %d\n" (List.length snap.spans);
   List.iter (fun s -> add "%s\n" (span_to_string s)) snap.spans;
   add "series %d\n" (List.length snap.series);
   List.iter
     (fun (name, points) ->
       add "ts %s %d\n" name (List.length points);
-      List.iter
-        (fun (t, v) -> add "point %d %s\n" t (Json.float_repr v))
-        points)
+      List.iter (fun p -> add "%s\n" (point_to_string p)) points)
     snap.series;
   Buffer.contents buf
 
@@ -161,13 +175,13 @@ let of_string text =
   let field key =
     let* line = next () in
     let k, v = split_word line in
-    if k = key then Ok v
+    if k = key then canonical key (fun v -> key ^ " " ^ v) line v
     else Error (Printf.sprintf "expected %S, got %S" key line)
   in
   let int_field key =
     let* v = field key in
     match int_of_string_opt v with
-    | Some n -> Ok n
+    | Some n -> canonical key string_of_int v n
     | None -> Error (Printf.sprintf "field %s: not an int: %S" key v)
   in
   let rec collect n parse acc =
@@ -178,7 +192,7 @@ let of_string text =
       collect (n - 1) parse (x :: acc)
   in
   let* header = next () in
-  if String.trim header <> schema then
+  if header <> schema then
     Error (Printf.sprintf "not a %s snapshot: %S" schema header)
   else
     let* scenario = field "scenario" in
@@ -187,13 +201,16 @@ let of_string text =
     let* window = field "window" in
     let* window_start_ns =
       match int_of_string_opt (fst (split_word window)) with
-      | Some n -> Ok n
+      | Some n ->
+          canonical "window"
+            (fun n -> Printf.sprintf "%d %d" n captured_ns)
+            window n
       | None -> Error "malformed window line"
     in
     let* n_triggers = int_field "triggers" in
-    let* triggers = collect n_triggers Eventlog.event_of_string [] in
+    let* triggers = collect n_triggers Trace.event_of_string [] in
     let* n_events = int_field "events" in
-    let* events = collect n_events Eventlog.event_of_string [] in
+    let* events = collect n_events Trace.event_of_string [] in
     let* n_spans = int_field "spans" in
     let* spans = collect n_spans span_of_string [] in
     let* n_series = int_field "series" in
@@ -206,18 +223,12 @@ let of_string text =
         match int_of_string_opt count_s with
         | None -> Error (Printf.sprintf "malformed series header %S" line)
         | Some count ->
-            let* points =
-              collect count
-                (fun l ->
-                  let kw, rest = split_word l in
-                  let t_s, v_s = split_word rest in
-                  match
-                    (kw, int_of_string_opt t_s, float_of_string_opt v_s)
-                  with
-                  | "point", Some t, Some v -> Ok (t, v)
-                  | _ -> Error (Printf.sprintf "malformed point line %S" l))
-                []
+            let* count =
+              canonical "series header"
+                (fun count -> Printf.sprintf "ts %s %d" name count)
+                line count
             in
+            let* points = collect count point_of_string [] in
             Ok (name, points)
     in
     let rec collect_series n acc =
@@ -227,8 +238,10 @@ let of_string text =
         collect_series (n - 1) (s :: acc)
     in
     let* series = collect_series n_series [] in
-    Ok
-      { scenario; seed; captured_ns; window_start_ns; triggers; events; spans; series }
+    if !lines <> [ "" ] then Error "trailing content after the last series"
+    else
+      Ok
+        { scenario; seed; captured_ns; window_start_ns; triggers; events; spans; series }
 
 let save snap ~path =
   let oc = open_out path in
@@ -245,12 +258,12 @@ let load ~path =
       close_in ic;
       of_string text
 
-let event_json (e : Eventlog.event) =
+let event_json (e : Trace.event) =
   Json.Obj
     [
       ("seq", Json.Int e.seq);
       ("ts_ns", Json.Int e.ts_ns);
-      ("level", Json.Str (Eventlog.level_name e.level));
+      ("level", Json.Str (Trace.level_name e.level));
       ("stream", Json.Str e.stream);
       ("name", Json.Str e.name);
       ("corr", Json.Str (Printf.sprintf "%08x" e.corr));
@@ -302,29 +315,29 @@ let to_json snap =
 (* ---- causal timeline ---- *)
 
 type timeline = {
-  root_cause : Eventlog.event option;
-  steps : Eventlog.event list;
+  root_cause : Trace.event option;
+  steps : Trace.event list;
 }
 
 (* A step earns a place in the causal chain when it marks a decision
    or a state change an operator would act on — fault injections,
    alerts going firing, rollbacks/aborts/deadline exhaustion, and
    anything logged at Error. *)
-let significant (e : Eventlog.event) =
+let significant (e : Trace.event) =
   match (e.stream, e.name, e.level) with
   | "fault", _, _ -> true
   | "alert", "firing", _ -> true
   | _, ("rollback" | "abort" | "gave_up" | "deadline"), _ -> true
-  | _, _, Eventlog.Error -> true
+  | _, _, Trace.Error -> true
   | _ -> false
 
 let analyze snap =
   let root_cause =
-    List.find_opt (fun (e : Eventlog.event) -> e.stream = "fault") snap.events
+    List.find_opt (fun (e : Trace.event) -> e.stream = "fault") snap.events
   in
   { root_cause; steps = List.filter significant snap.events }
 
-let step_label (e : Eventlog.event) =
+let step_label (e : Trace.event) =
   let subject =
     match fst (split_word e.detail) with "" -> None | tok -> Some tok
   in
@@ -356,7 +369,7 @@ let render snap =
       add "timeline: %s\n" (String.concat " -> " (List.map step_label steps)));
   add "\nevents:\n";
   List.iter
-    (fun e -> add "  %s\n" (Format.asprintf "%a" Eventlog.pp_event e))
+    (fun e -> add "  %s\n" (Format.asprintf "%a" Trace.pp_event e))
     snap.events;
   if snap.spans <> [] then begin
     add "\ncorrelated spans:\n";

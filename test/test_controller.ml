@@ -485,81 +485,96 @@ let policy_app_tests =
         check Alcotest.int "one rule more" 1 (List.length adds - List.length deletes));
   ]
 
-(* A crashed switch loses its groups and meters along with its flows, so
-   the controller's replay of its logged mods on reconnect re-adds them
-   without an "id exists" error and restores exactly what was there. *)
+(* A crashed switch loses its groups and meters along with its flows; a
+   switch that only loses its control channel keeps them.  Either way the
+   controller's replay on reconnect restores exactly what was there,
+   without an "id exists" error.  [outage] takes the switch down and
+   brings it back. *)
+let resync_after outage () =
+  let engine = Engine.create () in
+  let g = Sdnctl.Gateway.default () in
+  let d =
+    match
+      Harmless.Deployment.build_harmless engine
+        ~num_hosts:g.Sdnctl.Gateway.num_ports ()
+    with
+    | Ok d -> d
+    | Error e -> Alcotest.fail e
+  in
+  let ss2 = Harmless.Deployment.controller_switch d in
+  let ctrl =
+    Sdnctl.Controller.create engine
+      ~channel_config:
+        {
+          Sdnctl.Channel.default_config with
+          keepalive_interval = Some (Sim_time.ms 2);
+          echo_timeout = Sim_time.ms 5;
+          reconnect_base = Sim_time.ms 1;
+          reconnect_max = Sim_time.ms 8;
+        }
+      ()
+  in
+  let live =
+    Sdnctl.Policy_app.live ~name:"gateway" (fun () ->
+        Sdnctl.Gateway.policy g)
+  in
+  let l2 =
+    List.map
+      (fun s -> (s.Sdnctl.Gateway.sub_mac, s.Sdnctl.Gateway.sub_port))
+      g.Sdnctl.Gateway.subscribers
+  in
+  let pc = g.Sdnctl.Gateway.parental in
+  Sdnctl.Controller.add_app ctrl (Sdnctl.Parental_control.app pc live ~l2);
+  Sdnctl.Controller.add_app ctrl (Sdnctl.Policy_app.app live);
+  let dpid = Sdnctl.Controller.attach_switch ctrl ss2 in
+  let run_for ms =
+    Engine.run engine
+      ~until:(Sim_time.add (Engine.now engine) (Sim_time.ms ms))
+  in
+  run_for 5;
+  (* An edit, so the replayed log holds modifies and deletes too. *)
+  Sdnctl.Parental_control.block pc ctrl
+    ~user:(Ipv4_addr.of_string "10.1.0.3") ~host:"other.example";
+  run_for 5;
+  let pipeline = Softswitch.Soft_switch.pipeline ss2 in
+  let c = Sdnctl.Policy_app.compiled live in
+  let before = state pipeline c in
+  check Alcotest.bool "installed = fresh install" true
+    (before = state (fresh_install c) c);
+  check Alcotest.bool "the gateway uses groups and meters" true
+    (Group_table.size (Pipeline.groups pipeline) > 0
+    && Meter_table.size (Pipeline.meters pipeline) > 0);
+  outage ~ss2 ~channel:(Sdnctl.Controller.channel ctrl dpid) ~run_for;
+  run_for 60;
+  check Alcotest.bool "reconnected" true
+    (Softswitch.Soft_switch.connected ss2);
+  check Alcotest.bool "resynced" true (Sdnctl.Controller.resyncs ctrl > 0);
+  check Alcotest.(list string) "no switch errors" []
+    (Sdnctl.Controller.errors_received ctrl);
+  check Alcotest.bool "flow, group and meter tables as before the outage"
+    true
+    (state pipeline c = before)
+
 let crash_tests =
   [
     tc "a crashed SS_2 resyncs its compiled gateway: no errors, same tables"
-      (fun () ->
-        let engine = Engine.create () in
-        let g = Sdnctl.Gateway.default () in
-        let d =
-          match
-            Harmless.Deployment.build_harmless engine
-              ~num_hosts:g.Sdnctl.Gateway.num_ports ()
-          with
-          | Ok d -> d
-          | Error e -> Alcotest.fail e
-        in
-        let ss2 = Harmless.Deployment.controller_switch d in
-        let ctrl =
-          Sdnctl.Controller.create engine
-            ~channel_config:
-              {
-                Sdnctl.Channel.default_config with
-                keepalive_interval = Some (Sim_time.ms 2);
-                echo_timeout = Sim_time.ms 5;
-                reconnect_base = Sim_time.ms 1;
-                reconnect_max = Sim_time.ms 8;
-              }
-            ()
-        in
-        let live =
-          Sdnctl.Policy_app.live ~name:"gateway" (fun () ->
-              Sdnctl.Gateway.policy g)
-        in
-        let l2 =
-          List.map
-            (fun s -> (s.Sdnctl.Gateway.sub_mac, s.Sdnctl.Gateway.sub_port))
-            g.Sdnctl.Gateway.subscribers
-        in
-        let pc = g.Sdnctl.Gateway.parental in
-        Sdnctl.Controller.add_app ctrl (Sdnctl.Parental_control.app pc live ~l2);
-        Sdnctl.Controller.add_app ctrl (Sdnctl.Policy_app.app live);
-        ignore (Sdnctl.Controller.attach_switch ctrl ss2);
-        let run_for ms =
-          Engine.run engine
-            ~until:(Sim_time.add (Engine.now engine) (Sim_time.ms ms))
-        in
-        run_for 5;
-        (* An edit, so the replayed log holds modifies and deletes too. *)
-        Sdnctl.Parental_control.block pc ctrl
-          ~user:(Ipv4_addr.of_string "10.1.0.3") ~host:"other.example";
-        run_for 5;
-        let pipeline = Softswitch.Soft_switch.pipeline ss2 in
-        let c = Sdnctl.Policy_app.compiled live in
-        let before = state pipeline c in
-        check Alcotest.bool "installed = fresh install" true
-          (before = state (fresh_install c) c);
-        check Alcotest.bool "the gateway uses groups and meters" true
-          (Group_table.size (Pipeline.groups pipeline) > 0
-          && Meter_table.size (Pipeline.meters pipeline) > 0);
-        Softswitch.Soft_switch.crash ss2;
-        check Alcotest.(pair int int) "groups and meters wiped" (0, 0)
-          ( Group_table.size (Pipeline.groups pipeline),
-            Meter_table.size (Pipeline.meters pipeline) );
-        run_for 30;
-        Softswitch.Soft_switch.restart ss2;
-        run_for 60;
-        check Alcotest.bool "reconnected" true
-          (Softswitch.Soft_switch.connected ss2);
-        check Alcotest.bool "resynced" true (Sdnctl.Controller.resyncs ctrl > 0);
-        check Alcotest.(list string) "no switch errors" []
-          (Sdnctl.Controller.errors_received ctrl);
-        check Alcotest.bool "flow, group and meter tables as before the crash"
-          true
-          (state pipeline c = before));
+      (resync_after (fun ~ss2 ~channel:_ ~run_for ->
+           let pipeline = Softswitch.Soft_switch.pipeline ss2 in
+           Softswitch.Soft_switch.crash ss2;
+           check Alcotest.(pair int int) "groups and meters wiped" (0, 0)
+             ( Group_table.size (Pipeline.groups pipeline),
+               Meter_table.size (Pipeline.meters pipeline) );
+           run_for 30;
+           Softswitch.Soft_switch.restart ss2));
+    tc "an SS_2 that only lost its channel resyncs: no errors, same tables"
+      (resync_after (fun ~ss2 ~channel ~run_for ->
+           let pipeline = Softswitch.Soft_switch.pipeline ss2 in
+           Sdnctl.Channel.set_down channel true;
+           run_for 30;
+           check Alcotest.bool "groups and meters kept" true
+             (Group_table.size (Pipeline.groups pipeline) > 0
+             && Meter_table.size (Pipeline.meters pipeline) > 0);
+           Sdnctl.Channel.set_down channel false));
   ]
 
 let suite =

@@ -11,5 +11,5 @@ let () =
    @ Test_telemetry.suite @ Test_fault.suite @ Test_chaos.suite
    @ Test_timeseries.suite @ Test_poller.suite @ Test_check.suite
    @ Test_perf.suite @ Test_memtel.suite @ Test_migration.suite
-   @ Test_eventlog.suite @ Test_policy.suite @ Test_sketch.suite
+   @ Test_recorder.suite @ Test_policy.suite @ Test_sketch.suite
    @ Test_flowrec.suite)

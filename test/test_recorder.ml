@@ -1,0 +1,485 @@
+(* The flight recorder's control events and the post-mortem plane:
+   per-stream ring bounds, the zero-cost disabled path, event line
+   round-trips, hops and events sharing one recorder (sequence, clock,
+   seq-watermarked trace selection), the corr-id join with the packet
+   hops through the Chrome trace export, capture-at-finalize semantics,
+   snapshot serialization and its canonical-only parser, and the
+   canary-breach root-cause golden. *)
+
+open Telemetry
+
+let tc name f = Alcotest.test_case name `Quick f
+let check = Alcotest.check
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  ln = 0 || go 0
+
+let check_contains what ~needle hay =
+  if not (contains hay needle) then
+    Alcotest.failf "%s: %S not found in:\n%s" what needle hay
+
+let count_occurrences hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i acc =
+    if i + ln > lh then acc
+    else if String.sub hay i ln = needle then go (i + ln) (acc + 1)
+    else go (i + 1) acc
+  in
+  if ln = 0 then 0 else go 0 0
+
+let words () = int_of_float (Gc.minor_words ())
+
+let test_pkt =
+  Netpkt.Packet.udp
+    ~dst:(Netpkt.Mac_addr.make_local 4)
+    ~src:(Netpkt.Mac_addr.make_local 3)
+    ~ip_src:(Netpkt.Ipv4_addr.of_string "10.9.0.1")
+    ~ip_dst:(Netpkt.Ipv4_addr.of_string "10.9.0.2")
+    ~src_port:7 ~dst_port:8 "y"
+
+(* Run [f] under a fresh recorder; returns its result and the retained
+   events. *)
+let recording ?stream_capacity f =
+  fst
+    (Trace.with_collector ?stream_capacity (fun r ->
+         let result = f r in
+         (result, Trace.Collector.events r)))
+
+let hop_at ts = Trace.emit ~ts_ns:ts ~component:"h" ~layer:Trace.Host ~stage:"tx"
+
+(* ---- the recorder itself ---- *)
+
+let recorder_tests =
+  [
+    tc "per-stream ring wraps, keeps the newest, counts evictions"
+      (fun () ->
+        let (), retained =
+          recording ~stream_capacity:4 (fun r ->
+              for i = 1 to 10 do
+                Trace.event ~ts_ns:i ~stream:"s"
+                  ~detail:(Printf.sprintf "n%d" i) "tick"
+              done;
+              check Alcotest.int "recorded counts evicted too" 10
+                (Trace.Collector.recorded r);
+              check Alcotest.int "dropped = overflow" 6 (Trace.Collector.dropped r))
+        in
+        check Alcotest.int "ring retains capacity" 4 (List.length retained);
+        check
+          Alcotest.(list int)
+          "newest survive, in order" [ 7; 8; 9; 10 ]
+          (List.map (fun (e : Trace.event) -> e.Trace.seq) retained));
+    tc "streams are bounded independently and merge by (ts, seq)"
+      (fun () ->
+        let (), retained =
+          recording ~stream_capacity:2 (fun r ->
+              Trace.event ~ts_ns:5 ~stream:"b" "one";
+              Trace.event ~ts_ns:1 ~stream:"a" "one";
+              Trace.event ~ts_ns:9 ~stream:"a" "two";
+              Trace.event ~ts_ns:3 ~stream:"a" "three";
+              (* "a" wrapped (capacity 2); "b" did not. *)
+              check Alcotest.int "one eviction" 1 (Trace.Collector.dropped r);
+              check
+                Alcotest.(list string)
+                "streams sorted" [ "a"; "b" ] (Trace.Collector.streams r);
+              check Alcotest.int "stream filter" 2
+                (List.length (Trace.Collector.events ~stream:"a" r)))
+        in
+        check
+          Alcotest.(list string)
+          "merged (ts, seq) order" [ "three"; "one"; "two" ]
+          (List.map (fun (e : Trace.event) -> e.Trace.name) retained));
+    tc "min_level filters, levels order debug < info < warn < error"
+      (fun () ->
+        let (), _ =
+          recording (fun r ->
+              Trace.event ~level:Trace.Debug ~ts_ns:1 ~stream:"s" "d";
+              Trace.event ~level:Trace.Info ~ts_ns:2 ~stream:"s" "i";
+              Trace.event ~level:Trace.Warn ~ts_ns:3 ~stream:"s" "w";
+              Trace.event ~level:Trace.Error ~ts_ns:4 ~stream:"s" "e";
+              check Alcotest.int "warn and up" 2
+                (List.length (Trace.Collector.events ~min_level:Trace.Warn r)))
+        in
+        ());
+    tc "stream and name must be tokens" (fun () ->
+        let (), _ =
+          recording (fun _ ->
+              Alcotest.check_raises "space in stream"
+                (Invalid_argument
+                   "Trace.event: stream must be a non-empty token: \"a b\"")
+                (fun () -> Trace.event ~stream:"a b" "x");
+              Alcotest.check_raises "empty name"
+                (Invalid_argument
+                   "Trace.event: event name must be a non-empty token: \"\"")
+                (fun () -> Trace.event ~stream:"s" ""))
+        in
+        ());
+    tc "corr_of_string is stable and never zero" (fun () ->
+        let c = Trace.corr_of_string "channel:chaos-legacy-ss2" in
+        check Alcotest.int "same name, same id" c
+          (Trace.corr_of_string "channel:chaos-legacy-ss2");
+        check Alcotest.bool "nonzero" true (c <> 0));
+    tc "guarded no-op Event recording allocates exactly zero minor words"
+      (fun () ->
+        check Alcotest.bool "no recorder" false (Trace.enabled ());
+        let emit_guarded () =
+          if Trace.enabled () then
+            Trace.event ~ts_ns:0 ~stream:"recorder" "noop"
+        in
+        emit_guarded ();
+        let before = words () in
+        for _ = 1 to 10_000 do
+          emit_guarded ()
+        done;
+        check Alcotest.int "minor words delta over 10k emits" 0
+          (words () - before));
+    tc "event line round-trips through to_string/of_string" (fun () ->
+        let (), retained =
+          recording (fun _ ->
+              Trace.event ~level:Trace.Warn ~ts_ns:4_200_000
+                ~corr:(Trace.corr_of_string "trunk:primary")
+                ~detail:"trunk:primary degrade loss=0.95" ~stream:"fault"
+                "degrade")
+        in
+        let e = List.hd retained in
+        let line = Trace.event_to_string e in
+        match Trace.event_of_string line with
+        | Error msg -> Alcotest.failf "parse failed: %s (%s)" msg line
+        | Ok e' ->
+            check Alcotest.string "line is a fixpoint" line
+              (Trace.event_to_string e');
+            check Alcotest.int "corr preserved" e.Trace.corr
+              e'.Trace.corr;
+            check Alcotest.string "detail preserved" e.Trace.detail
+              e'.Trace.detail);
+    tc "event lines accept only what the renderer writes" (fun () ->
+        let line = "event 12 4200000 warn fault 0017c56f down channel down" in
+        check Alcotest.bool "canonical line parses" true
+          (Result.is_ok (Trace.event_of_string line));
+        List.iter
+          (fun bad ->
+            match Trace.event_of_string bad with
+            | Ok _ -> Alcotest.failf "accepted non-canonical %S" bad
+            | Error _ -> ())
+          [
+            "event 1_2 4200000 warn fault 0017c56f down channel down";
+            "event +12 4200000 warn fault 0017c56f down channel down";
+            "event 12 0b101 warn fault 0017c56f down channel down";
+            "event 12 4200000 warn fault 17c56f down channel down";
+            "event 12 4200000 warn fault 0017_c56f down channel down";
+            " event 12 4200000 warn fault 0017c56f down channel down";
+            "event 12 4200000 warn fault 0017c56f down ";
+          ]);
+  ]
+
+(* ---- hops and events in one recorder ---- *)
+
+let shared_tests =
+  [
+    tc "hops and events share one sequence; clear restarts it" (fun () ->
+        let (), _ =
+          Trace.with_collector (fun r ->
+              hop_at 1 test_pkt;
+              Trace.event ~ts_ns:2 ~stream:"s" "between";
+              hop_at 3 test_pkt;
+              check
+                Alcotest.(list int)
+                "hop seqs skip the event's" [ 1; 3 ]
+                (List.map (fun (h : Trace.hop) -> h.Trace.seq)
+                   (Trace.Collector.hops r));
+              check
+                Alcotest.(list int)
+                "event seq" [ 2 ]
+                (List.map (fun (e : Trace.event) -> e.Trace.seq)
+                   (Trace.Collector.events r));
+              check Alcotest.int "last_seq" 3 (Trace.Collector.last_seq r);
+              Trace.Collector.clear r;
+              check Alcotest.int "cleared" 0
+                (List.length (Trace.Collector.hops r)
+                + List.length (Trace.Collector.events r)
+                + Trace.Collector.recorded r);
+              hop_at 4 test_pkt;
+              check
+                Alcotest.(list int)
+                "sequence restarts at 1" [ 1 ]
+                (List.map (fun (h : Trace.hop) -> h.Trace.seq)
+                   (Trace.Collector.hops r)))
+        in
+        ());
+    tc "the clock given at creation stamps events without ts_ns" (fun () ->
+        let now = ref 7_000 in
+        let (), _ =
+          Trace.with_collector
+            ~clock:(fun () -> !now)
+            (fun r ->
+              Trace.event ~stream:"s" "clocked";
+              now := 9_000;
+              Trace.event ~ts_ns:1 ~stream:"s" "explicit";
+              Trace.event ~stream:"s" "later";
+              check
+                Alcotest.(list int)
+                "stamps" [ 1; 7_000; 9_000 ]
+                (List.map (fun (e : Trace.event) -> e.Trace.ts_ns)
+                   (Trace.Collector.events r)))
+        in
+        let (), _ =
+          Trace.with_collector (fun r ->
+              Trace.event ~stream:"s" "unclocked";
+              check
+                Alcotest.(list int)
+                "no clock: 0" [ 0 ]
+                (List.map (fun (e : Trace.event) -> e.Trace.ts_ns)
+                   (Trace.Collector.events r)))
+        in
+        ());
+    tc "traces ~after keeps an earlier byte-identical frame out" (fun () ->
+        (* The chaos probe's case: the storm sent the same frame before
+           the watermark, so both share one trace key. *)
+        let (), _ =
+          Trace.with_collector (fun r ->
+              hop_at 1 test_pkt;
+              hop_at 2 test_pkt;
+              let mark = Trace.Collector.last_seq r in
+              hop_at 10 test_pkt;
+              Trace.event ~ts_ns:11 ~stream:"s" "noise";
+              hop_at 12 test_pkt;
+              (match Trace.Collector.traces r with
+              | [ all ] ->
+                  check Alcotest.int "unfiltered: one key, every hop" 4
+                    (List.length all.Trace.hops)
+              | ts -> Alcotest.failf "expected 1 trace, got %d" (List.length ts));
+              match Trace.Collector.traces ~after:mark r with
+              | [ probe ] ->
+                  check
+                    Alcotest.(list int)
+                    "only the hops past the watermark" [ 10; 12 ]
+                    (List.map (fun (h : Trace.hop) -> h.Trace.ts_ns)
+                       probe.Trace.hops)
+              | ts -> Alcotest.failf "expected 1 trace, got %d" (List.length ts))
+        in
+        ());
+  ]
+
+(* ---- the corr-id join with the packet tracer ---- *)
+
+let join_tests =
+  [
+    tc "event and hop share one trace_key through the Chrome export"
+      (fun () ->
+        let key = Trace.key_of_packet test_pkt in
+        let hops, events =
+          recording (fun r ->
+              Trace.emit ~ts_ns:10 ~component:"host0" ~layer:Trace.Host
+                ~stage:"tx" ~cycles:0 test_pkt;
+              Trace.event ~level:Trace.Debug ~ts_ns:20 ~corr:key
+                ~detail:"dpid:2 port=0" ~stream:"controller" "packet-in";
+              Trace.Collector.hops r)
+        in
+        let out = Chrome_trace.to_string ~events hops in
+        let needle = Printf.sprintf "\"%08x\"" key in
+        check Alcotest.int
+          "trace_key appears in both the hop and the instant event" 2
+          (count_occurrences out needle);
+        check_contains "instant phase present" ~needle:"\"ph\":\"i\"" out;
+        check_contains "per-stream pseudo thread"
+          ~needle:"events:controller" out);
+  ]
+
+(* ---- capture-at-finalize and snapshot serialization ---- *)
+
+let postmortem_tests =
+  [
+    tc "uneventful recording captures nothing" (fun () ->
+        let snap, _ =
+          recording (fun r ->
+              Trace.event ~ts_ns:1 ~stream:"channel" "connect";
+              Postmortem.capture ~scenario:"quiet" ~seed:1 ~captured_ns:10 r)
+        in
+        check Alcotest.bool "no trigger, no snapshot" true (snap = None));
+    tc "capture windows events around the first trigger" (fun () ->
+        let snap, _ =
+          recording (fun r ->
+              Trace.event ~ts_ns:1_000_000 ~stream:"channel" "connect";
+              Trace.event ~ts_ns:20_000_000 ~stream:"channel" "drop";
+              Trace.event ~level:Trace.Warn ~ts_ns:30_000_000
+                ~corr:(Trace.corr_of_string "trunk:primary")
+                ~detail:"trunk:primary down" ~stream:"fault" "down";
+              Trace.event ~level:Trace.Error ~ts_ns:31_000_000
+                ~corr:(Trace.corr_of_string "slo") ~detail:"slo value=0"
+                ~stream:"alert" "firing";
+              Postmortem.capture ~scenario:"windowed" ~seed:7
+                ~captured_ns:40_000_000 r)
+        in
+        match snap with
+        | None -> Alcotest.fail "expected a snapshot"
+        | Some s ->
+            check Alcotest.int "window start = trigger - 5ms" 25_000_000
+              s.Postmortem.window_start_ns;
+            check Alcotest.int "pre-trigger noise excluded" 2
+              (List.length s.Postmortem.events);
+            check Alcotest.int "one trigger each kind" 2
+              (List.length s.Postmortem.triggers);
+            let tl = Postmortem.analyze s in
+            (match tl.Postmortem.root_cause with
+            | Some e ->
+                check Alcotest.string "root cause is the fault" "fault"
+                  e.Trace.stream
+            | None -> Alcotest.fail "expected a root cause");
+            (* serialization round-trip is a fixpoint *)
+            let text = Postmortem.to_string s in
+            (match Postmortem.of_string text with
+            | Error msg -> Alcotest.failf "snapshot parse failed: %s" msg
+            | Ok s' ->
+                check Alcotest.string "to_string fixpoint" text
+                  (Postmortem.to_string s'));
+            check_contains "render names the root cause"
+              ~needle:"root cause: fault down" (Postmortem.render s));
+  ]
+
+(* ---- the snapshot parser at the trust boundary ----
+
+   [harmlessctl postmortem FILE] reads snapshots back, so the parser must
+   be total and accept only canonical text: every input it accepts
+   re-renders to the same bytes.  Mutations of a real snapshot (the
+   default [harmlessctl chaos --seed 42] run) in 1-3 bytes, biased
+   towards the characters that make numbers non-canonical. *)
+
+let chaos_snapshot =
+  lazy
+    (let engine = Simnet.Engine.create () in
+     let script =
+       "5ms channel down\n12ms mgmt flaky 2\n20ms channel up\n\
+        30ms trunk:primary down\n"
+     in
+     match Harmless.Chaos.build engine ~num_hosts:3 ~seed:42 () with
+     | Error e -> failwith e
+     | Ok rig -> (
+         match
+           Harmless.Chaos.run rig ~script ~duration:(Simnet.Sim_time.ms 60) ()
+         with
+         | Ok { Harmless.Chaos.postmortem = Some s; _ } -> Postmortem.to_string s
+         | Ok _ -> failwith "the chaos run captured no post-mortem"
+         | Error e -> failwith e))
+
+type mutation = Replace of int * char | Insert of int * char | Delete of int
+
+let mutate text ms =
+  List.fold_left
+    (fun t m ->
+      let n = String.length t in
+      match m with
+      | Replace (i, c) when n > 0 ->
+          String.mapi (fun j d -> if j = i mod n then c else d) t
+      | Insert (i, c) ->
+          let i = i mod (n + 1) in
+          String.sub t 0 i ^ String.make 1 c ^ String.sub t i (n - i)
+      | Delete i when n > 0 ->
+          let i = i mod n in
+          String.sub t 0 i ^ String.sub t (i + 1) (n - i - 1)
+      | Replace _ | Delete _ -> t)
+    text ms
+
+let print_mutation = function
+  | Replace (i, c) -> Printf.sprintf "replace %d %C" i c
+  | Insert (i, c) -> Printf.sprintf "insert %d %C" i c
+  | Delete i -> Printf.sprintf "delete %d" i
+
+let mutation_gen =
+  let open QCheck2.Gen in
+  let pos = int_bound 1_000_000 in
+  let chr =
+    oneof [ oneofl [ '_'; '+'; '-'; '0'; '1'; '9'; 'x'; 'b'; 'o'; ' '; '\n' ]; char ]
+  in
+  list_size (int_range 1 3)
+    (oneof
+       [
+         map2 (fun i c -> Replace (i, c)) pos chr;
+         map2 (fun i c -> Insert (i, c)) pos chr;
+         map (fun i -> Delete i) pos;
+       ])
+
+let parser_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:1000
+         ~name:"mutated snapshots: no exception, accepted = canonical"
+         ~print:(fun ms -> String.concat "; " (List.map print_mutation ms))
+         mutation_gen
+         (fun ms ->
+           let text = mutate (Lazy.force chaos_snapshot) ms in
+           match Postmortem.of_string text with
+           | Error _ -> true
+           | Ok snap -> Postmortem.to_string snap = text));
+    tc "the unmutated snapshot is accepted" (fun () ->
+        let text = Lazy.force chaos_snapshot in
+        match Postmortem.of_string text with
+        | Error msg -> Alcotest.failf "rejected: %s" msg
+        | Ok snap ->
+            check Alcotest.string "fixpoint" text (Postmortem.to_string snap));
+  ]
+
+(* ---- the golden: the injected fault is the timeline's root cause ---- *)
+
+let golden_tests =
+  [
+    tc "canary breach post-mortem names the trunk degrade as root cause"
+      (fun () ->
+        match Harmless.Migration_rig.canary_breach ~seed:42 () with
+        | Error msg -> Alcotest.failf "breach scenario failed: %s" msg
+        | Ok br -> (
+            match br.Harmless.Migration_rig.postmortem with
+            | None -> Alcotest.fail "breach must capture a post-mortem"
+            | Some s ->
+                let tl = Postmortem.analyze s in
+                (match tl.Postmortem.root_cause with
+                | None -> Alcotest.fail "expected a root cause"
+                | Some e ->
+                    check Alcotest.string "fault stream" "fault"
+                      e.Trace.stream;
+                    check Alcotest.string "degrade action" "degrade"
+                      e.Trace.name;
+                    check_contains "the injected target"
+                      ~needle:"trunk:sw0" e.Trace.detail);
+                let report = Postmortem.render s in
+                check_contains "causal chain reaches the rollback"
+                  ~needle:"migration.rollback sw0" report;
+                check_contains "causal chain reaches the fleet abort"
+                  ~needle:"fleet.abort" report;
+                check_contains "liveness breach on the timeline"
+                  ~needle:"alert.firing probe-liveness" report));
+    tc "same seed, same snapshot (modulo process-global dpids)" (fun () ->
+        (* Datapath ids come from a process-global counter, so two
+           in-process runs disagree on them (and on the poller corr
+           derived from them); byte-for-byte identity across fresh
+           processes is what CI's cmp checks.  Everything else must
+           match exactly. *)
+        let normalize s =
+          let s =
+            Str.global_replace (Str.regexp "dpid:[0-9a-f]+") "dpid:_" s
+          in
+          Str.global_replace
+            (Str.regexp "\\(poller \\)[0-9a-f]+")
+            "\\1________" s
+        in
+        let snap_of () =
+          match Harmless.Migration_rig.canary_breach ~seed:1337 () with
+          | Error msg -> Alcotest.failf "breach scenario failed: %s" msg
+          | Ok br -> (
+              match br.Harmless.Migration_rig.postmortem with
+              | None -> Alcotest.fail "breach must capture a post-mortem"
+              | Some s -> normalize (Postmortem.to_string s))
+        in
+        check Alcotest.string "deterministic capture" (snap_of ())
+          (snap_of ()));
+  ]
+
+let suite =
+  [
+    ("eventlog recorder", recorder_tests);
+    ("eventlog trace join", join_tests);
+    ("recorder shared", shared_tests);
+    ("postmortem capture", postmortem_tests);
+    ("postmortem parser", parser_tests);
+    ("postmortem golden", golden_tests);
+  ]

@@ -214,7 +214,7 @@ let golden_tests =
         check Alcotest.string "chrome" expected (Chrome_trace.to_string hops));
   ]
 
-(* ---- trace: keys, sink, collector assembly ---- *)
+(* ---- trace: keys, the installed recorder, collector assembly ---- *)
 
 let pkt ~seq =
   Packet.icmp_echo
@@ -238,8 +238,7 @@ let trace_tests =
         | None -> Alcotest.fail "expected a tag");
         if Trace.key_of_packet (pkt ~seq:2) = k then
           Alcotest.fail "distinct packets should get distinct keys");
-    tc "emit without a sink is a no-op" (fun () ->
-        Trace.set_sink None;
+    tc "emit without a single recorder installed is a no-op" (fun () ->
         check Alcotest.bool "disabled" false (Trace.enabled ());
         Trace.emit ~ts_ns:0 ~component:"x" ~layer:Trace.Host ~stage:"tx"
           (pkt ~seq:1));
@@ -259,18 +258,28 @@ let trace_tests =
           Alcotest.(list string)
           "p1 hops sorted" [ "mid"; "late" ]
           (List.map (fun h -> h.Trace.stage) t2.Trace.hops));
-    tc "with_collector restores the previous sink" (fun () ->
-        let outer = ref 0 in
-        Trace.set_sink (Some (fun _ -> incr outer));
-        let (), _ =
-          Trace.with_collector (fun _ ->
-              Trace.emit ~ts_ns:1 ~component:"x" ~layer:Trace.Host ~stage:"tx"
-                (pkt ~seq:1))
-        in
-        check Alcotest.int "outer sink not fed" 0 !outer;
-        Trace.emit ~ts_ns:2 ~component:"x" ~layer:Trace.Host ~stage:"tx" (pkt ~seq:1);
-        check Alcotest.int "outer sink restored" 1 !outer;
-        Trace.set_sink None);
+    tc "with_collector restores the previous recorder" (fun () ->
+        let outer = Trace.Collector.create () in
+        Trace.Collector.install outer;
+        Fun.protect
+          ~finally:(fun () -> Trace.Collector.uninstall outer)
+          (fun () ->
+            let (), inner =
+              Trace.with_collector (fun _ ->
+                  Trace.emit ~ts_ns:1 ~component:"x" ~layer:Trace.Host
+                    ~stage:"tx" (pkt ~seq:1);
+                  Trace.event ~ts_ns:1 ~stream:"s" "inner")
+            in
+            check Alcotest.int "the nested recorder captured the hop" 1
+              (List.length inner);
+            check Alcotest.int "outer recorder not fed" 0
+              (List.length (Trace.Collector.hops outer)
+              + Trace.Collector.recorded outer);
+            Trace.emit ~ts_ns:2 ~component:"x" ~layer:Trace.Host ~stage:"tx"
+              (pkt ~seq:1);
+            check Alcotest.int "outer recorder restored" 1
+              (List.length (Trace.Collector.hops outer)));
+        check Alcotest.bool "uninstalled" false (Trace.enabled ()));
   ]
 
 (* ---- integration: the Fig. 1 walk, observed ---- *)
@@ -326,6 +335,62 @@ let integration_tests =
           Alcotest.(list string)
           "echo reply path" expected
           (Harmless.Trace_view.semantic_path view reply));
+    tc "same traced ping twice in one process: identical hops, seq included"
+      (fun () ->
+        (* The [harmlessctl trace] scenario: warm-up ping to t = 50 ms,
+           then the steady-state ping traced to t = 100 ms. *)
+        let traced_ping () =
+          let engine = Simnet.Engine.create () in
+          let deployment =
+            match Harmless.Deployment.build_harmless engine ~num_hosts:4 () with
+            | Ok d -> d
+            | Error m -> failwith m
+          in
+          let ctrl = Sdnctl.Controller.create engine () in
+          Sdnctl.Controller.add_app ctrl (Sdnctl.L2_learning.create ());
+          ignore
+            (Sdnctl.Controller.attach_switch ctrl
+               (Harmless.Deployment.controller_switch deployment));
+          let run_to ms =
+            Simnet.Engine.run engine
+              ~until:(Simnet.Sim_time.of_ns (Simnet.Sim_time.ms ms))
+          in
+          let ping seq =
+            Simnet.Host.ping
+              (Harmless.Deployment.host deployment 0)
+              ~dst_mac:(Harmless.Deployment.host_mac 1)
+              ~dst_ip:(Harmless.Deployment.host_ip 1)
+              ~seq
+          in
+          run_to 5;
+          ping 1;
+          run_to 50;
+          let hops, _ =
+            Trace.with_collector (fun c ->
+                ping 2;
+                run_to 100;
+                Trace.Collector.hops c)
+          in
+          (* [words] are process-cumulative GC counters and datapath
+             ids come from a process-global allocator, so those two
+             are masked; everything else must match exactly. *)
+          List.map
+            (fun (h : Trace.hop) ->
+              {
+                h with
+                Trace.words = 0;
+                detail =
+                  Str.global_replace (Str.regexp "dpid=[0-9]+") "dpid=_"
+                    h.Trace.detail;
+              })
+            hops
+        in
+        let first = traced_ping () in
+        let second = traced_ping () in
+        check Alcotest.bool "hops recorded" true (first <> []);
+        check Alcotest.int "seq restarts per recorder" 1
+          (List.hd second).Trace.seq;
+        check Alcotest.bool "identical hop lists" true (first = second));
     tc "publish_metrics surfaces component tallies" (fun () ->
         let engine = Simnet.Engine.create () in
         let deployment =
