@@ -328,7 +328,10 @@ let meter_tests =
    allocation — see the matching no-alloc test), "emit-collector" is
    the same hop landing in a Collector (including the install/remove
    ref writes that keep the installed-recorder slot honest between
-   tests). *)
+   tests; the frame repeats, so its key comes from the recorder's memo
+   as it does along a walk).  "render-hop" is what a report pays per
+   hop it prints: the frame rendered to text, which hops no longer do
+   when they are recorded. *)
 
 let trace_tests =
   let pkt =
@@ -354,6 +357,9 @@ let trace_tests =
              (* keep the accumulator bounded over millions of runs *)
              if !emitted land 4095 = 0 then
                Telemetry.Trace.Collector.clear collector));
+      Test.make ~name:"render-hop"
+        (Staged.stage (fun () ->
+             Sys.opaque_identity (Format.asprintf "%a" Netpkt.Packet.pp pkt)));
     ]
 
 (* ---- flows/* : the sampled traffic observability plane ----

@@ -133,8 +133,8 @@ let pp_hop t fmt (hop : Telemetry.Trace.hop) =
 let pp_trace t fmt (trace : Telemetry.Trace.trace) =
   (match trace.Telemetry.Trace.hops with
   | first :: _ ->
-      Format.fprintf fmt "packet %08x: %s (%d hops)@." trace.Telemetry.Trace.key
-        first.Telemetry.Trace.packet
+      Format.fprintf fmt "packet %08x: %a (%d hops)@." trace.Telemetry.Trace.key
+        Netpkt.Packet.pp first.Telemetry.Trace.packet
         (List.length trace.Telemetry.Trace.hops)
   | [] -> Format.fprintf fmt "packet %08x: (no hops)@." trace.Telemetry.Trace.key);
   List.iter

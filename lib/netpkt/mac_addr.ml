@@ -29,9 +29,17 @@ let of_string s =
 
 let of_string_opt s = try Some (of_string s) with Invalid_argument _ -> None
 
+let hex = "0123456789abcdef"
+
+(* "xx:xx:xx:xx:xx:xx", lowercase, filled in place. *)
 let to_string t =
-  String.concat ":"
-    (List.init 6 (fun i -> Printf.sprintf "%02x" (Char.code t.[i])))
+  let b = Bytes.make 17 ':' in
+  for i = 0 to 5 do
+    let c = Char.code (String.unsafe_get t i) in
+    Bytes.unsafe_set b (3 * i) hex.[c lsr 4];
+    Bytes.unsafe_set b ((3 * i) + 1) hex.[c land 0xf]
+  done;
+  Bytes.unsafe_to_string b
 
 let of_int64 n =
   let b = Bytes.create 6 in

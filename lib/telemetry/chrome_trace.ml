@@ -99,7 +99,8 @@ let to_json ?(cycles_per_us = 2400.0) ?(spans = []) ?(events = []) hops =
     in
     let args =
       [
-        ("packet", Json.Str hop.Trace.packet);
+        ( "packet",
+          Json.Str (Format.asprintf "%a" Netpkt.Packet.pp hop.Trace.packet) );
         ("trace_key", Json.Str (Printf.sprintf "%08x" hop.Trace.trace_key));
         ("bytes", Json.Int hop.Trace.bytes);
       ]

@@ -81,7 +81,7 @@ let of_trace_with ~next_id ?(stage_of = fun _ -> None) (trace : Trace.trace) =
           begin_words = first.Trace.words;
           end_words = last.Trace.words;
           cycles = total_cycles;
-          detail = first.Trace.packet;
+          detail = Format.asprintf "%a" Netpkt.Packet.pp first.Trace.packet;
         }
       in
       let groups = visits hops in

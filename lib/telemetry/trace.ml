@@ -29,7 +29,7 @@ type hop = {
   stage : string;
   port : int option;
   trace_key : int;
-  packet : string;
+  packet : Netpkt.Packet.t;
   bytes : int;
   cycles : int;
   words : int;
@@ -100,6 +100,9 @@ type recorder = {
   stream_capacity : int;
   mutable next_seq : int; (* shared by hops and events *)
   mutable rev_hops : hop list;
+  (* One-entry key memo: [memo_key = key_of_packet memo_pkt] always. *)
+  mutable memo_pkt : Netpkt.Packet.t;
+  mutable memo_key : int;
   rings : (string, ring) Hashtbl.t;
   mutable recorded : int;
   mutable dropped : int;
@@ -111,6 +114,25 @@ let enabled () = Option.is_some !installed
 
 let key_of_packet (pkt : Netpkt.Packet.t) =
   Hashtbl.hash (Netpkt.Packet.encode { pkt with Netpkt.Packet.vlans = [] })
+
+(* A fresh or cleared recorder's memo, keyed like any other frame. *)
+let no_frame =
+  Netpkt.Packet.make ~dst:Netpkt.Mac_addr.zero ~src:Netpkt.Mac_addr.zero
+    (Raw (Unknown 0, ""))
+
+let no_frame_key = key_of_packet no_frame
+
+(* The key reads only [dst], [src] and [l3], so a frame sharing all
+   three with the memo's (the same frame re-tagged) has the memo's key. *)
+let trace_key r (pkt : Netpkt.Packet.t) =
+  let m = r.memo_pkt in
+  if pkt.dst == m.dst && pkt.src == m.src && pkt.l3 == m.l3 then r.memo_key
+  else begin
+    let key = key_of_packet pkt in
+    r.memo_pkt <- pkt;
+    r.memo_key <- key;
+    key
+  end
 
 let corr_of_string s =
   match Hashtbl.hash s with 0 -> 1 | h -> h
@@ -133,8 +155,8 @@ let emit ~ts_ns ~component ~layer ~stage ?port ?(cycles = 0) ?(detail = "") pkt 
           layer;
           stage;
           port;
-          trace_key = key_of_packet pkt;
-          packet = Format.asprintf "%a" Netpkt.Packet.pp pkt;
+          trace_key = trace_key r pkt;
+          packet = pkt;
           bytes = Netpkt.Packet.wire_size pkt;
           cycles;
           words;
@@ -200,6 +222,8 @@ module Collector = struct
       stream_capacity;
       next_seq = 1;
       rev_hops = [];
+      memo_pkt = no_frame;
+      memo_key = no_frame_key;
       rings = Hashtbl.create 16;
       recorded = 0;
       dropped = 0;
@@ -215,6 +239,8 @@ module Collector = struct
   let clear t =
     t.next_seq <- 1;
     t.rev_hops <- [];
+    t.memo_pkt <- no_frame;
+    t.memo_key <- no_frame_key;
     Hashtbl.reset t.rings;
     t.recorded <- 0;
     t.dropped <- 0
@@ -346,8 +372,8 @@ let pp_hop fmt (hop : hop) =
 let pp_trace fmt trace =
   (match trace.hops with
   | first :: _ ->
-      Format.fprintf fmt "packet %08x: %s (%dB, %d hops)@." trace.key
-        first.packet first.bytes (List.length trace.hops)
+      Format.fprintf fmt "packet %08x: %a (%dB, %d hops)@." trace.key
+        Netpkt.Packet.pp first.packet first.bytes (List.length trace.hops)
   | [] -> Format.fprintf fmt "packet %08x: (no hops)@." trace.key);
   List.iter (fun hop -> Format.fprintf fmt "  %a@." pp_hop hop) trace.hops
 

@@ -19,8 +19,11 @@
     subsystem (per-message channel drops under loss) can never evict
     the quiet one that holds the root cause (the single fault
     injection).  Hops are kept until {!Collector.clear}: the profiles
-    and dashboards fold every hop of a run, and bounding them is left
-    to a cheaper hop representation.
+    and dashboards fold every hop of a run.  A hop is cheap (a few
+    dozen minor words): it holds the frame itself, rendered only when
+    a report asks for text, and usually reuses the previous hop's key.
+    Bounding hops in a per-component ring is still open, because it
+    would change the profiles that fold every hop.
 
     {2 Correlation}
 
@@ -28,7 +31,11 @@
     the fabric, so hops correlate on {!key_of_packet} — a hash of the
     frame with its VLAN stack stripped.  The HARMLESS tag
     push/pop/rewrite path preserves the key; L3-header rewrites start a
-    new trace and byte-identical frames share one.
+    new trace and byte-identical frames share one.  Each recorder
+    remembers the last frame it keyed: a frame whose [dst], [src] and
+    [l3] are physically those of that frame (a re-tagged copy) reuses
+    its key, anything else is hashed afresh, so every [trace_key] is
+    exactly {!key_of_packet} of the hop's frame.
 
     Events carry a correlation id: a plain int, [0] meaning
     "uncorrelated".  Instrumentation derives ids deterministically from
@@ -83,7 +90,9 @@ type hop = {
   stage : string;       (** e.g. ["ingress"], ["tag_push"], ["pipeline"] *)
   port : int option;    (** port involved, when meaningful *)
   trace_key : int;
-  packet : string;      (** one-line packet rendering *)
+  packet : Netpkt.Packet.t;
+      (** the frame as emitted (frames are immutable, so the hop keeps
+          a reference); reports render it with [Netpkt.Packet.pp] *)
   bytes : int;          (** wire size *)
   cycles : int;         (** processing cost, 0 when not modelled *)
   words : int;

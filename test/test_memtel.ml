@@ -126,6 +126,74 @@ let allocprof_tests =
           [ "wire.encode"; "wire.decode"; "wire.fields" ]);
   ]
 
+(* ---- a traced hop's own cost ---- *)
+
+(* One frame's HARMLESS walk, 15 hops: tagged on the legacy switch,
+   VLAN-rewritten on SS_1, untagged again on the way out.  Every frame
+   shares the original's MACs and l3, as the real re-tag path does. *)
+let traced_walk =
+  let tagged = Netpkt.Packet.push_vlan (Netpkt.Vlan.make 101) test_pkt in
+  let rewritten = Netpkt.Packet.set_outer_vid 202 tagged in
+  let untagged =
+    match Netpkt.Packet.pop_vlan rewritten with
+    | Some (_, p) -> p
+    | None -> assert false
+  in
+  [
+    ("h0", Trace.Host, "tx", test_pkt);
+    ("legacy0", Trace.Legacy, "ingress", test_pkt);
+    ("legacy0", Trace.Legacy, "tag_push", tagged);
+    ("sw-ss1", Trace.Switch, "rx", tagged);
+    ("sw-ss1", Trace.Switch, "pipeline", tagged);
+    ("sw-ss1", Trace.Switch, "tx", tagged);
+    ("sw-ss2", Trace.Switch, "rx", tagged);
+    ("sw-ss2", Trace.Switch, "pipeline", tagged);
+    ("sw-ss2", Trace.Switch, "tx", tagged);
+    ("sw-ss1", Trace.Switch, "rx", tagged);
+    ("sw-ss1", Trace.Switch, "pipeline", rewritten);
+    ("sw-ss1", Trace.Switch, "tx", rewritten);
+    ("legacy0", Trace.Legacy, "ingress", rewritten);
+    ("legacy0", Trace.Legacy, "tag_pop", untagged);
+    ("h1", Trace.Host, "rx", untagged);
+  ]
+
+let emit_walk () =
+  List.iteri
+    (fun i (component, layer, stage, frame) ->
+      Trace.emit ~ts_ns:(i * 100) ~component ~layer ~stage ~port:1 ~cycles:12
+        frame)
+    traced_walk
+
+let trace_hop_tests =
+  [
+    tc "a traced hop costs a few dozen words; a walk encodes once" (fun () ->
+        let hops = List.length traced_walk in
+        let c = Trace.Collector.create () in
+        Trace.Collector.install c;
+        let before = words () in
+        emit_walk ();
+        let spent = words () - before in
+        Trace.Collector.uninstall c;
+        (match Trace.Collector.traces c with
+        | [ t ] ->
+            check Alcotest.int "one trace of every hop" hops
+              (List.length t.Trace.hops);
+            check Alcotest.int "keyed on the frame"
+              (Trace.key_of_packet test_pkt) t.Trace.key
+        | ts -> Alcotest.failf "%d traces, expected 1" (List.length ts));
+        let per_hop = spent / hops in
+        if per_hop > 64 then
+          Alcotest.failf "%d words per traced hop (%d over %d hops), limit 64"
+            per_hop spent hops;
+        let (), probes =
+          Allocprof.with_recorder (fun () ->
+              ignore (Trace.with_collector (fun _ -> emit_walk ())))
+        in
+        match Allocprof.stats probes "wire.encode" with
+        | None -> Alcotest.fail "the walk never keyed its frame"
+        | Some s -> check Alcotest.int "wire.encode calls" 1 s.Allocprof.count);
+  ]
+
 (* ---- GC series: deterministic observe feed, rate, alerting ---- *)
 
 let ms = Simnet.Sim_time.ms
@@ -282,7 +350,7 @@ let hop ~seq ~ts ~words ~component ~layer ~stage : Trace.hop =
     stage;
     port = None;
     trace_key = 3405;
-    packet = "icmp";
+    packet = test_pkt;
     bytes = 64;
     cycles = 0;
     words;
@@ -497,6 +565,7 @@ let suite =
   [
     ("memtel_zero_alloc", zero_alloc_tests);
     ("memtel_allocprof", allocprof_tests);
+    ("memtel_trace_hop", trace_hop_tests);
     ("memtel_gcstats", gcstats_tests);
     ("memtel_engine", engine_telemetry_tests);
     ("memtel_profile", profile_alloc_tests);

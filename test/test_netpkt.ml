@@ -9,6 +9,16 @@ let prop name ?(count = 200) gen ~print f =
 
 (* ---- MAC addresses ---- *)
 
+let any_mac_gen =
+  QCheck2.Gen.(map Mac_addr.of_bytes (string_size ~gen:char (return 6)))
+
+(* The list-and-sprintf rendering [Mac_addr.to_string] replaced, kept as
+   the reference its output must match byte for byte. *)
+let reference_mac_to_string mac =
+  let b = Mac_addr.to_bytes mac in
+  String.concat ":"
+    (List.init 6 (fun i -> Printf.sprintf "%02x" (Char.code b.[i])))
+
 let mac_tests =
   [
     tc "parse/print round-trip" (fun () ->
@@ -35,6 +45,9 @@ let mac_tests =
         Mac_addr.equal mac (Mac_addr.of_int64 (Mac_addr.to_int64 mac)));
     prop "string round-trip" Gen.mac_gen ~print:Mac_addr.to_string (fun mac ->
         Mac_addr.equal mac (Mac_addr.of_string (Mac_addr.to_string mac)));
+    prop "to_string matches the reference rendering" ~count:1000 any_mac_gen
+      ~print:reference_mac_to_string (fun mac ->
+        String.equal (Mac_addr.to_string mac) (reference_mac_to_string mac));
   ]
 
 (* ---- IPv4 addresses and prefixes ---- *)
@@ -243,6 +256,46 @@ let http_tests =
 
 (* ---- Frames ---- *)
 
+(* [Packet.pp] spelled out over the reference MAC rendering. *)
+let reference_pp fmt (pkt : Packet.t) =
+  let mac = reference_mac_to_string in
+  let pp_l3 fmt = function
+    | Packet.Ip ip -> Ipv4.pp fmt ip
+    | Packet.Arp ({ Arp.op = Arp.Reply; _ } as arp) ->
+        Format.fprintf fmt "arp %a is-at %s" Ipv4_addr.pp arp.Arp.spa
+          (mac arp.Arp.sha)
+    | Packet.Arp arp -> Arp.pp fmt arp
+    | Packet.Raw (ty, bytes) ->
+        Format.fprintf fmt "%a len %d" Ethertype.pp ty (String.length bytes)
+  in
+  Format.fprintf fmt "%s > %s%a %a" (mac pkt.Packet.src) (mac pkt.Packet.dst)
+    (fun fmt tags ->
+      List.iter (fun tag -> Format.fprintf fmt " [%a]" Vlan.pp tag) tags)
+    pkt.Packet.vlans pp_l3 pkt.Packet.l3
+
+(* Every l3 shape [Packet.pp] renders, between arbitrary MACs. *)
+let rendered_frame_gen =
+  let open QCheck2.Gen in
+  let l3 =
+    oneof
+      [
+        map (fun pkt -> pkt.Packet.l3) Gen.packet_gen;
+        map3
+          (fun sha spa tpa ->
+            Packet.Arp
+              (Arp.reply_to (Arp.request ~sha:Mac_addr.zero ~spa ~tpa) ~sha))
+          any_mac_gen Gen.ip_gen Gen.ip_gen;
+        map2
+          (fun ty payload -> Packet.Raw (Ethertype.Unknown ty, payload))
+          (int_range 0x0600 0xffff) Gen.payload_gen;
+      ]
+  in
+  map3
+    (fun (dst, src) vlans l3 -> Packet.make ~vlans ~dst ~src l3)
+    (pair any_mac_gen any_mac_gen)
+    (list_size (int_bound 2) Gen.vlan_gen)
+    l3
+
 let packet_tests =
   [
     prop "encode/decode round-trip" Gen.packet_gen ~print:Gen.packet_print
@@ -311,6 +364,11 @@ let packet_tests =
             check Alcotest.int "ttl" 1 h.Ipv4.ttl;
             check Alcotest.bool "dies" true (Ipv4.decrement_ttl h = None)
         | None -> Alcotest.fail "should survive");
+    prop "pp renders as with the reference MAC rendering" ~count:500
+      rendered_frame_gen ~print:(Format.asprintf "%a" reference_pp) (fun pkt ->
+        String.equal
+          (Format.asprintf "%a" Packet.pp pkt)
+          (Format.asprintf "%a" reference_pp pkt));
   ]
 
 (* ---- Flow identity ---- *)

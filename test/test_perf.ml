@@ -20,6 +20,14 @@ let contains s sub =
 (* ---- a hand-authored HARMLESS-ish walk: host -> legacy (tag) ->
    soft switch -> host, with wire gaps between the visits ---- *)
 
+let h0_to_h1 =
+  Netpkt.Packet.icmp_echo
+    ~dst:(Netpkt.Mac_addr.make_local 2)
+    ~src:(Netpkt.Mac_addr.make_local 1)
+    ~ip_src:(Netpkt.Ipv4_addr.of_string "10.0.0.1")
+    ~ip_dst:(Netpkt.Ipv4_addr.of_string "10.0.0.2")
+    ~id:1 ~seq:1
+
 let hop ~seq ~ts ~component ~layer ~stage ?port ?(cycles = 0) ?(detail = "") ()
     : Trace.hop =
   {
@@ -30,7 +38,7 @@ let hop ~seq ~ts ~component ~layer ~stage ?port ?(cycles = 0) ?(detail = "") ()
     stage;
     port;
     trace_key = 48879;
-    packet = "icmp h0->h1";
+    packet = h0_to_h1;
     bytes = 64;
     cycles;
     words = 0;
@@ -144,7 +152,8 @@ let span_tests =
 (* ---- golden renderings: one per `harmlessctl trace --format` ---- *)
 
 let text_golden =
-  "packet 0000beef: icmp h0->h1 (5 hops)\n\
+  "packet 0000beef: 02:00:00:00:00:01 > 02:00:00:00:00:02 10.0.0.1 > \
+   10.0.0.2 ttl 64: icmp echo-req id 1 seq 1 (5 hops)\n\
   \        0ns  h0                                 host NIC out\n\
   \    1.000us  legacy0      port 1       90 cyc  ingress\n\
   \    1.400us  legacy0      port 5       12 cyc  legacy: push 802.1Q tag, up \
@@ -164,12 +173,12 @@ let chrome_golden =
  {"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":2,"args":{"name":"legacy0"}},
  {"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":3,"args":{"name":"sw-ss1"}},
  {"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":4,"args":{"name":"h1"}},
- {"name":"host.tx","cat":"host","ph":"X","ts":0,"dur":0.001,"pid":1,"tid":1,"args":{"packet":"icmp h0->h1","trace_key":"0000beef","bytes":64}},
- {"name":"legacy.ingress","cat":"legacy","ph":"X","ts":1,"dur":0.0375,"pid":1,"tid":2,"args":{"packet":"icmp h0->h1","trace_key":"0000beef","bytes":64,"port":1,"cycles":90}},
- {"name":"legacy.tag_push","cat":"legacy","ph":"X","ts":1.4,"dur":0.005,"pid":1,"tid":2,"args":{"packet":"icmp h0->h1","trace_key":"0000beef","bytes":64,"port":5,"cycles":12,"detail":"vlan 101"}},
- {"name":"switch.pipeline","cat":"switch","ph":"X","ts":2.6,"dur":0.125,"pid":1,"tid":3,"args":{"packet":"icmp h0->h1","trace_key":"0000beef","bytes":64,"port":0,"cycles":300}},
- {"name":"host.rx","cat":"host","ph":"X","ts":4.1,"dur":0.001,"pid":1,"tid":4,"args":{"packet":"icmp h0->h1","trace_key":"0000beef","bytes":64}},
- {"name":"packet","cat":"packet","ph":"b","ts":0,"pid":1,"tid":1,"id":"0x0000beef","args":{"cycles":402,"detail":"icmp h0->h1"}},
+ {"name":"host.tx","cat":"host","ph":"X","ts":0,"dur":0.001,"pid":1,"tid":1,"args":{"packet":"02:00:00:00:00:01 > 02:00:00:00:00:02 10.0.0.1 > 10.0.0.2 ttl 64: icmp echo-req id 1 seq 1","trace_key":"0000beef","bytes":64}},
+ {"name":"legacy.ingress","cat":"legacy","ph":"X","ts":1,"dur":0.0375,"pid":1,"tid":2,"args":{"packet":"02:00:00:00:00:01 > 02:00:00:00:00:02 10.0.0.1 > 10.0.0.2 ttl 64: icmp echo-req id 1 seq 1","trace_key":"0000beef","bytes":64,"port":1,"cycles":90}},
+ {"name":"legacy.tag_push","cat":"legacy","ph":"X","ts":1.4,"dur":0.005,"pid":1,"tid":2,"args":{"packet":"02:00:00:00:00:01 > 02:00:00:00:00:02 10.0.0.1 > 10.0.0.2 ttl 64: icmp echo-req id 1 seq 1","trace_key":"0000beef","bytes":64,"port":5,"cycles":12,"detail":"vlan 101"}},
+ {"name":"switch.pipeline","cat":"switch","ph":"X","ts":2.6,"dur":0.125,"pid":1,"tid":3,"args":{"packet":"02:00:00:00:00:01 > 02:00:00:00:00:02 10.0.0.1 > 10.0.0.2 ttl 64: icmp echo-req id 1 seq 1","trace_key":"0000beef","bytes":64,"port":0,"cycles":300}},
+ {"name":"host.rx","cat":"host","ph":"X","ts":4.1,"dur":0.001,"pid":1,"tid":4,"args":{"packet":"02:00:00:00:00:01 > 02:00:00:00:00:02 10.0.0.1 > 10.0.0.2 ttl 64: icmp echo-req id 1 seq 1","trace_key":"0000beef","bytes":64}},
+ {"name":"packet","cat":"packet","ph":"b","ts":0,"pid":1,"tid":1,"id":"0x0000beef","args":{"cycles":402,"detail":"02:00:00:00:00:01 > 02:00:00:00:00:02 10.0.0.1 > 10.0.0.2 ttl 64: icmp echo-req id 1 seq 1"}},
  {"name":"packet","cat":"packet","ph":"e","ts":4.1,"pid":1,"tid":1,"id":"0x0000beef"},
  {"name":"h0","cat":"packet","ph":"b","ts":0,"pid":1,"tid":1,"id":"0x0000beef","args":{"component":"h0"}},
  {"name":"h0","cat":"packet","ph":"e","ts":0,"pid":1,"tid":1,"id":"0x0000beef"},

@@ -261,6 +261,145 @@ let shared_tests =
         ());
   ]
 
+(* ---- the recorder's trace-key memo against key_of_packet ---- *)
+
+(* Each step emits one frame, built from the frames emitted so far
+   (picked by index, so flows interleave), or clears the recorder. *)
+type frame_op =
+  | Fresh of int  (** a new frame; small ids repeat byte-identical frames *)
+  | Push of int * int  (** push a VLAN tag *)
+  | Pop of int
+  | Set_vid of int * int
+  | Ttl of int  (** rewrite the IP header *)
+  | Set_dst of int * int  (** rewrite a MAC, keeping the l3 *)
+  | Set_src of int * int
+  | Copy of int  (** byte-identical, physically distinct *)
+  | Clear
+
+let print_frame_op = function
+  | Fresh n -> Printf.sprintf "fresh %d" n
+  | Push (i, v) -> Printf.sprintf "push %d vid %d" i v
+  | Pop i -> Printf.sprintf "pop %d" i
+  | Set_vid (i, v) -> Printf.sprintf "set_vid %d %d" i v
+  | Ttl i -> Printf.sprintf "ttl %d" i
+  | Set_dst (i, m) -> Printf.sprintf "set_dst %d %d" i m
+  | Set_src (i, m) -> Printf.sprintf "set_src %d %d" i m
+  | Copy i -> Printf.sprintf "copy %d" i
+  | Clear -> "clear"
+
+let frame_op_gen =
+  let open QCheck2.Gen in
+  let i = int_bound 20 and vid = int_range 1 4094 and mac = int_range 1 3 in
+  frequency
+    [
+      (4, map (fun n -> Fresh n) (int_bound 5));
+      (3, map2 (fun i v -> Push (i, v)) i vid);
+      (2, map (fun i -> Pop i) i);
+      (2, map2 (fun i v -> Set_vid (i, v)) i vid);
+      (2, map (fun i -> Ttl i) i);
+      (1, map2 (fun i m -> Set_dst (i, m)) i mac);
+      (1, map2 (fun i m -> Set_src (i, m)) i mac);
+      (2, map (fun i -> Copy i) i);
+      (1, return Clear);
+    ]
+
+let fresh_frame n =
+  Netpkt.Packet.udp
+    ~dst:(Netpkt.Mac_addr.make_local 2)
+    ~src:(Netpkt.Mac_addr.make_local 1)
+    ~ip_src:(Netpkt.Ipv4_addr.of_string "10.7.0.1")
+    ~ip_dst:
+      (Netpkt.Ipv4_addr.of_string (Printf.sprintf "10.7.0.%d" (2 + (n mod 2))))
+    ~src_port:n ~dst_port:80 "z"
+
+(* The frame an op emits, given the frames emitted before it, newest
+   first; [None] for [Clear]. *)
+let apply_frame_op pool op =
+  let open Netpkt in
+  let pick i = List.nth pool (i mod List.length pool) in
+  match (op, pool) with
+  | Clear, _ -> None
+  | Fresh n, _ -> Some (fresh_frame n)
+  | _, [] -> Some (fresh_frame 0)
+  | Push (i, v), _ -> Some (Packet.push_vlan (Vlan.make v) (pick i))
+  | Pop i, _ -> (
+      match Packet.pop_vlan (pick i) with
+      | Some (_, p) -> Some p
+      | None -> Some (pick i))
+  | Set_vid (i, v), _ -> (
+      let p = pick i in
+      match p.Packet.vlans with
+      | [] -> Some p
+      | _ -> Some (Packet.set_outer_vid v p))
+  | Ttl i, _ -> (
+      let p = pick i in
+      match p.Packet.l3 with
+      | Packet.Ip ip ->
+          Some { p with Packet.l3 = Packet.Ip { ip with Ipv4.ttl = ip.Ipv4.ttl - 1 } }
+      | _ -> Some p)
+  | Set_dst (i, m), _ ->
+      Some { (pick i) with Packet.dst = Mac_addr.make_local m }
+  | Set_src (i, m), _ ->
+      Some { (pick i) with Packet.src = Mac_addr.make_local m }
+  | Copy i, _ -> Some (Packet.decode (Packet.encode (pick i)))
+
+(* [Collector.traces]' grouping, rebuilt from recomputed keys: hops were
+   emitted with rising timestamps, so emission order is trace order. *)
+let grouped_by_recomputed_keys hops =
+  let keys = ref [] and members = Hashtbl.create 16 in
+  List.iter
+    (fun (h : Trace.hop) ->
+      let k = Trace.key_of_packet h.Trace.packet in
+      match Hashtbl.find_opt members k with
+      | Some seqs -> Hashtbl.replace members k (h.Trace.seq :: seqs)
+      | None ->
+          keys := k :: !keys;
+          Hashtbl.replace members k [ h.Trace.seq ])
+    hops;
+  List.rev_map (fun k -> (k, List.rev (Hashtbl.find members k))) !keys
+
+let keys_as_recomputed r =
+  let hops = Trace.Collector.hops r in
+  List.for_all
+    (fun (h : Trace.hop) ->
+      h.Trace.trace_key = Trace.key_of_packet h.Trace.packet)
+    hops
+  && List.map
+       (fun (t : Trace.trace) ->
+         (t.Trace.key, List.map (fun (h : Trace.hop) -> h.Trace.seq) t.Trace.hops))
+       (Trace.Collector.traces r)
+     = grouped_by_recomputed_keys hops
+
+let memo_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500
+         ~name:
+           "memoised trace keys equal key_of_packet; traces group as \
+            recomputed keys do"
+         ~print:(fun ops -> String.concat "; " (List.map print_frame_op ops))
+         QCheck2.Gen.(list_size (int_range 1 60) frame_op_gen)
+         (fun ops ->
+           let r = Trace.Collector.create () in
+           Trace.Collector.install r;
+           Fun.protect
+             ~finally:(fun () -> Trace.Collector.uninstall r)
+             (fun () ->
+               let pool = ref [] and ok = ref true and ts = ref 0 in
+               List.iter
+                 (fun op ->
+                   match apply_frame_op !pool op with
+                   | None ->
+                       ok := !ok && keys_as_recomputed r;
+                       Trace.Collector.clear r
+                   | Some frame ->
+                       incr ts;
+                       hop_at !ts frame;
+                       pool := frame :: !pool)
+                 ops;
+               !ok && keys_as_recomputed r)));
+  ]
+
 (* ---- the corr-id join with the packet tracer ---- *)
 
 let join_tests =
@@ -479,6 +618,7 @@ let suite =
     ("eventlog recorder", recorder_tests);
     ("eventlog trace join", join_tests);
     ("recorder shared", shared_tests);
+    ("recorder key memo", memo_tests);
     ("postmortem capture", postmortem_tests);
     ("postmortem parser", parser_tests);
     ("postmortem golden", golden_tests);

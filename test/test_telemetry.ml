@@ -181,6 +181,14 @@ let golden_tests =
         check Alcotest.string "json" expected
           (Registry.to_json (golden_registry ())));
     tc "chrome trace events" (fun () ->
+        let frame =
+          Packet.udp
+            ~dst:(Mac_addr.make_local 2)
+            ~src:(Mac_addr.make_local 1)
+            ~ip_src:(Ipv4_addr.of_string "10.0.0.1")
+            ~ip_dst:(Ipv4_addr.of_string "10.0.0.2")
+            ~src_port:1 ~dst_port:2 "x"
+        in
         let hop ~seq ~ts_ns ~stage ~port ~cycles ~detail =
           {
             Trace.seq;
@@ -190,7 +198,7 @@ let golden_tests =
             stage;
             port;
             trace_key = 0xabc;
-            packet = "pkt";
+            packet = frame;
             bytes = 64;
             cycles;
             words = 0;
@@ -207,8 +215,8 @@ let golden_tests =
         let expected =
           "[\n\
           \ {\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":1,\"args\":{\"name\":\"sw0\"}},\n\
-          \ {\"name\":\"switch.rx\",\"cat\":\"switch\",\"ph\":\"X\",\"ts\":1,\"dur\":0.001,\"pid\":1,\"tid\":1,\"args\":{\"packet\":\"pkt\",\"trace_key\":\"00000abc\",\"bytes\":64,\"port\":2}},\n\
-          \ {\"name\":\"switch.pipeline\",\"cat\":\"switch\",\"ph\":\"X\",\"ts\":1.5,\"dur\":1,\"pid\":1,\"tid\":1,\"args\":{\"packet\":\"pkt\",\"trace_key\":\"00000abc\",\"bytes\":64,\"cycles\":2400,\"detail\":\"emc hit\"}}\n\
+          \ {\"name\":\"switch.rx\",\"cat\":\"switch\",\"ph\":\"X\",\"ts\":1,\"dur\":0.001,\"pid\":1,\"tid\":1,\"args\":{\"packet\":\"02:00:00:00:00:01 > 02:00:00:00:00:02 10.0.0.1 > 10.0.0.2 ttl 64: udp 1 > 2 len 1\",\"trace_key\":\"00000abc\",\"bytes\":64,\"port\":2}},\n\
+          \ {\"name\":\"switch.pipeline\",\"cat\":\"switch\",\"ph\":\"X\",\"ts\":1.5,\"dur\":1,\"pid\":1,\"tid\":1,\"args\":{\"packet\":\"02:00:00:00:00:01 > 02:00:00:00:00:02 10.0.0.1 > 10.0.0.2 ttl 64: udp 1 > 2 len 1\",\"trace_key\":\"00000abc\",\"bytes\":64,\"cycles\":2400,\"detail\":\"emc hit\"}}\n\
            ]"
         in
         check Alcotest.string "chrome" expected (Chrome_trace.to_string hops));
