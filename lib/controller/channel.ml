@@ -24,6 +24,15 @@ let default_config =
     max_in_flight = 512;
   }
 
+let fast_config =
+  {
+    default_config with
+    keepalive_interval = Some (Sim_time.ms 2);
+    echo_timeout = Sim_time.ms 5;
+    reconnect_base = Sim_time.ms 1;
+    reconnect_max = Sim_time.ms 16;
+  }
+
 type state = Connected | Disconnected
 
 type t = {
@@ -47,10 +56,7 @@ type t = {
 }
 
 let switch t = t.switch
-let sent_to_switch t = t.to_switch_count
-let sent_to_controller t = t.to_controller_count
 let state t = t.state
-let is_down t = t.down
 let reconnects t = t.reconnects
 let queue_drops t = t.queue_drops
 let dropped_to_switch t = t.dropped_to_switch

@@ -39,6 +39,12 @@ val default_config : config
 (** 200 us latency, no loss, no keepalive, 20 ms echo timeout,
     10 ms→500 ms backoff, 512 in flight. *)
 
+val fast_config : config
+(** {!default_config} with a 2 ms keepalive, 5 ms echo timeout and
+    1–16 ms reconnect backoff — tight enough that outages are detected
+    within a few milliseconds of sim time (the chaos and migration
+    rigs). *)
+
 type state = Connected | Disconnected
 
 type t
@@ -62,8 +68,6 @@ val to_switch : t -> Openflow.Of_message.t -> unit
     the loss process eats it; all three are counted. *)
 
 val switch : t -> Softswitch.Soft_switch.t
-val sent_to_switch : t -> int
-val sent_to_controller : t -> int
 
 val state : t -> state
 
@@ -73,8 +77,6 @@ val set_down : t -> bool -> unit
     enabled the outage is {e detected} by echo timeout and healed by the
     backoff probe; with keepalive off the state flips synchronously so
     fail modes still engage. *)
-
-val is_down : t -> bool
 
 val on_reconnect : t -> (unit -> unit) -> unit
 (** Called (in registration order) each time the channel re-establishes —

@@ -24,14 +24,6 @@ val create :
 (** [sites] maps hostnames to server addresses (the controller's "DNS").
     [blocked] is the initial (user-IP, hostname) deny list. *)
 
-val blocked_pred : t -> Policy.Syntax.pred
-(** Matches the traffic the app drops in the dataplane: HTTP from a user
-    to a blocked site's known address, and to every server a sniffed
-    request pinned. *)
-
-val sniff_pred : t -> Policy.Syntax.pred
-(** Matches the HTTP traffic of users needing controller sniffing. *)
-
 val fragment : t -> Policy.Syntax.t
 (** The app alone as a policy fragment:
     [filter (not blocked && sniff); to_controller].  Drops are absence
@@ -44,12 +36,12 @@ val enforce : t -> Policy.Syntax.t -> Policy.Syntax.t
 
 val app :
   t -> Policy_app.t -> l2:(Netpkt.Mac_addr.t * int) list -> Controller.app
-(** The sniffing half: handles the HTTP packet-ins of {!sniff_pred}.
-    The {!Policy_app.t} must be the installed policy that {!enforce}s
-    this handle; {!block}, {!unblock} and pinned verdicts update it.
-    An allowed sniffed request is sent out of the port [l2] (the
-    policy's L2 band) gives its destination MAC, or flooded if the MAC
-    is not listed. *)
+(** The sniffing half: handles the HTTP packet-ins the {!fragment}
+    sends to the controller.  The {!Policy_app.t} must be the installed
+    policy that {!enforce}s this handle; {!block}, {!unblock} and pinned
+    verdicts update it.  An allowed sniffed request is sent out of the
+    port [l2] (the policy's L2 band) gives its destination MAC, or
+    flooded if the MAC is not listed. *)
 
 val block : t -> Controller.t -> user:Netpkt.Ipv4_addr.t -> host:string -> unit
 (** Add a deny entry and push the updated policy. *)
@@ -58,7 +50,6 @@ val unblock : t -> Controller.t -> user:Netpkt.Ipv4_addr.t -> host:string -> uni
 (** Remove the entry, and the verdicts pinned for it, and push the
     updated policy. *)
 
-val is_blocked : t -> user:Netpkt.Ipv4_addr.t -> host:string -> bool
 val blocked_list : t -> (Netpkt.Ipv4_addr.t * string) list
 val sniffed_drops : t -> int
 (** Requests dropped via the reactive (Host-sniffing) path. *)

@@ -26,7 +26,3 @@ val table1_l2 : num_hosts:int -> Controller.app
 (** A proactive destination-MAC forwarding app for {e table 1}, matching
     the {!Harmless.Deployment} host conventions — the forwarding layer
     under a table-0 app such as {!Dns_guard}. *)
-
-val table1_messages :
-  num_hosts:int -> ?table_id:int -> unit -> Openflow.Of_message.t list
-(** {!table1_l2}'s rule set as a pure value (default table 1). *)

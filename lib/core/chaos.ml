@@ -30,35 +30,9 @@ let ss2 t = Failover.ss2 t.fo
 let ss1 t = Failover.ss1 t.fo
 let port_map t = Failover.port_map t.fo
 
-let default_channel_config =
-  {
-    Sdnctl.Channel.default_config with
-    keepalive_interval = Some (Sim_time.ms 2);
-    echo_timeout = Sim_time.ms 5;
-    reconnect_base = Sim_time.ms 1;
-    reconnect_max = Sim_time.ms 16;
-  }
-
-let link_handler link action =
-  match (action : Fault.action) with
-  | Fault.Down ->
-      Link.set_up link false;
-      Ok ()
-  | Fault.Up ->
-      Link.set_up link true;
-      (* Also heal any lingering degradation. *)
-      Link.set_impairments ~loss:0.0 ~jitter:0 link;
-      Ok ()
-  | Fault.Degrade { loss; jitter } -> (
-      try
-        Link.set_impairments ~loss ~jitter link;
-        Ok ()
-      with Invalid_argument msg -> Error msg)
-  | Fault.Flaky _ | Fault.Crash | Fault.Restart ->
-      Error "links only support down/up/degrade"
-
 let build engine ?(num_hosts = 3) ?(seed = 42)
-    ?(mode = Soft_switch.Fail_standalone) ?(channel = default_channel_config)
+    ?(mode = Soft_switch.Fail_standalone)
+    ?(channel = Sdnctl.Channel.fast_config)
     ?(watchdog_period = Sim_time.ms 2) ?(retry = Mgmt.Retry.default)
     ?(failback = false) () =
   if num_hosts < 2 then Error "chaos: need at least 2 hosts"
@@ -154,11 +128,11 @@ let build engine ?(num_hosts = 3) ?(seed = 42)
             Ok ()
         | Fault.Degrade _ | Fault.Crash | Fault.Restart ->
             Error "mgmt supports flaky/down/up");
-    reg ~target:"trunk:primary" (link_handler primary_link);
-    reg ~target:"trunk:backup" (link_handler backup_link);
+    reg ~target:"trunk:primary" (Fault.link_handler primary_link);
+    reg ~target:"trunk:backup" (Fault.link_handler backup_link);
     Array.iteri
       (fun i link ->
-        reg ~target:(Printf.sprintf "host:%d" i) (link_handler link))
+        reg ~target:(Printf.sprintf "host:%d" i) (Fault.link_handler link))
       host_links;
     let switch_handler sw ~restarted action =
       match (action : Fault.action) with
@@ -233,18 +207,11 @@ let mgmt_retries_total () =
           (Telemetry.Registry.Counter.v ~labels:[ ("op", op) ] "retries_total"))
     0 retry_ops
 
-let answered t = Array.fold_left (fun acc h -> acc + Host.echo_replies h) 0 t.hosts
-
 (* Deterministic probe traffic: cycle through every ordered host pair so
    fresh (never-communicated) pairs keep appearing — those are the ones
    that need the controller, or its fail-standalone substitute. *)
 let ping_pair t k =
-  let n = Array.length t.hosts in
-  let pairs = n * (n - 1) in
-  let idx = k mod pairs in
-  let src = idx / (n - 1) in
-  let rest = idx mod (n - 1) in
-  let dst = if rest >= src then rest + 1 else rest in
+  let src, dst = Traffic.pair ~n:(Array.length t.hosts) k in
   t.pings_sent <- t.pings_sent + 1;
   Host.ping t.hosts.(src)
     ~dst_mac:(Host.mac t.hosts.(dst))
@@ -275,7 +242,7 @@ let run_recorded t ~recorder ~script ~duration ~ping_interval =
       (Telemetry.Alert.Series answered_series)
       (Telemetry.Alert.Rate_below
          { per_second = 1.0; window = Sim_time.ms 3 });
-    let answered_before = answered t in
+    let answered_before = Traffic.answered t.hosts in
     let stop = Sim_time.add (Engine.now t.engine) duration in
     (* Evaluate only during the storm: after it, probes stop by design,
        so a liveness rule would "breach" on the silence. *)
@@ -284,7 +251,7 @@ let run_recorded t ~recorder ~script ~duration ~ping_interval =
       if Sim_time.( <= ) now stop then begin
         let now_ns = Sim_time.to_ns now in
         Telemetry.Timeseries.record answered_series ~ts_ns:now_ns
-          (float_of_int (answered t));
+          (float_of_int (Traffic.answered t.hosts));
         Telemetry.Alert.eval alerts ~now_ns
       end;
       Sim_time.( < ) now stop
@@ -299,10 +266,10 @@ let run_recorded t ~recorder ~script ~duration ~ping_interval =
     traffic 0 ();
     Engine.run t.engine ~until:stop;
     let pings_sent = t.pings_sent in
-    let pings_answered = answered t - answered_before in
+    let pings_answered = Traffic.answered t.hosts - answered_before in
     (* Recovery probe: after the storm, one ping per ordered pair, then a
        grace period.  All answered = the deployment healed. *)
-    let probe_before = answered t in
+    let probe_before = Traffic.answered t.hosts in
     let n = Array.length t.hosts in
     let probe_pairs = n * (n - 1) in
     (* The recorder has traced the storm too; the recovery probe's
@@ -319,7 +286,7 @@ let run_recorded t ~recorder ~script ~duration ~ping_interval =
     let probe_traces =
       Telemetry.Trace.Collector.traces ~after:probe_mark recorder
     in
-    let probe_answered = answered t - probe_before in
+    let probe_answered = Traffic.answered t.hosts - probe_before in
     let stage_slis =
       let view =
         Trace_view.make

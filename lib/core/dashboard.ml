@@ -103,12 +103,7 @@ let demo ?(num_hosts = 4) ?(poll_period = Sim_time.ms 10) () =
     }
 
 let ping_pair t k =
-  let n = Deployment.num_hosts t.deployment in
-  let pairs = n * (n - 1) in
-  let idx = k mod pairs in
-  let src = idx / (n - 1) in
-  let rest = idx mod (n - 1) in
-  let dst = if rest >= src then rest + 1 else rest in
+  let src, dst = Traffic.pair ~n:(Deployment.num_hosts t.deployment) k in
   t.pings <- t.pings + 1;
   Host.ping
     (Deployment.host t.deployment src)

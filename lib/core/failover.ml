@@ -53,7 +53,7 @@ let event t ?level ?detail name =
     ?detail ~stream:"failover" name
 
 let provision engine ~device ~primary_trunk ~backup_trunk ~access_ports
-    ?base_vid ?(dataplane = Soft_switch.Eswitch) ?pmd () =
+    ?base_vid ?dataplane ?pmd () =
   if primary_trunk = backup_trunk then Error "failover: trunks must differ"
   else if List.mem backup_trunk access_ports then
     Error "failover: backup trunk cannot be a managed access port"
@@ -64,26 +64,10 @@ let provision engine ~device ~primary_trunk ~backup_trunk ~access_ports
     with
     | Error _ as e -> e
     | Ok (map, _report) ->
-        let n = Port_map.size map in
-        let host = Mgmt.Device.hostname device in
-        let ss1 =
-          Soft_switch.create engine
-            ~name:(host ^ "-ss1")
-            ~ports:(patch_base + n)
-            ~dataplane ?pmd ~miss:Soft_switch.Drop_on_miss ()
+        let ss1, ss2, _patches =
+          Manager.sandwich engine ~name:(Mgmt.Device.hostname device) ~map
+            ~patch_base ?dataplane ?pmd ()
         in
-        let ss2 =
-          Soft_switch.create engine
-            ~name:(host ^ "-ss2")
-            ~ports:n ~dataplane ?pmd ~miss:Soft_switch.Send_to_controller ()
-        in
-        for i = 0 to n - 1 do
-          ignore
-            (Patch_port.connect
-               (Soft_switch.node ss1, patch_base + i)
-               (Soft_switch.node ss2, i))
-        done;
-        Translator.install ~trunk_port:0 ~patch_base ss1 map;
         Ok
           {
             engine;
@@ -147,10 +131,6 @@ let activate_primary t =
 let trunk_healthy t = function
   | `Primary -> Node.carrier (Soft_switch.node t.ss1) ~port:0
   | `Backup -> Node.carrier (Soft_switch.node t.ss1) ~port:1
-
-let stop_watchdog t =
-  t.generation <- t.generation + 1;
-  if t.status <> Idle then t.status <- Idle
 
 let start_watchdog ?(policy = Mgmt.Retry.default) ?(failback = false)
     ?on_failure t ~period =

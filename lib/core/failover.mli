@@ -79,9 +79,6 @@ val start_watchdog :
     Successful activations increment [failovers_total{direction=…}];
     retries show up in [retries_total{op="failover.activate_…"}]. *)
 
-val stop_watchdog : t -> unit
-(** Cancel the running watchdog (pending ticks become no-ops). *)
-
 val watchdog_status : t -> watchdog_status
 
 val failovers : t -> int

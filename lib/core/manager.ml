@@ -186,32 +186,40 @@ let configure_device ~device ~trunk_port ~access_ports ?base_vid
   in
   Ok (map, { facts; config_diff = diff; steps = List.rev !steps })
 
-let provision engine ~device ~trunk_port ~access_ports ?base_vid
-    ?(dataplane = Soft_switch.Eswitch) ?pmd ?retry () =
+let sandwich engine ~name ~map ?shared_ss2 ?(patch_base = 1) ?dataplane ?pmd
+    () =
+  let n = Port_map.size map in
+  let ss1 =
+    Soft_switch.create engine ~name:(name ^ "-ss1") ~ports:(patch_base + n)
+      ?dataplane ?pmd ~miss:Soft_switch.Drop_on_miss ()
+  in
+  let ss2, offset =
+    match shared_ss2 with
+    | Some shared -> shared
+    | None ->
+        ( Soft_switch.create engine ~name:(name ^ "-ss2") ~ports:n ?dataplane
+            ?pmd ~miss:Soft_switch.Send_to_controller (),
+          0 )
+  in
+  let patches =
+    Array.init n (fun i ->
+        Patch_port.connect
+          (Soft_switch.node ss1, patch_base + i)
+          (Soft_switch.node ss2, offset + i))
+  in
+  Translator.install ~patch_base ss1 map;
+  (ss1, ss2, patches)
+
+let provision engine ~device ~trunk_port ~access_ports ?base_vid ?dataplane
+    ?pmd ?retry () =
   let* map, report =
     configure_device ~device ~trunk_port ~access_ports ?base_vid ?retry ()
   in
   (* Bring up the software side. *)
   let n = Port_map.size map in
-  let host = report.facts.Napalm.hostname in
-  let ss1 =
-    Soft_switch.create engine
-      ~name:(host ^ "-ss1")
-      ~ports:(Translator.required_ports map)
-      ~dataplane ?pmd ~miss:Soft_switch.Drop_on_miss ()
+  let ss1, ss2, patches =
+    sandwich engine ~name:report.facts.Napalm.hostname ~map ?dataplane ?pmd ()
   in
-  let ss2 =
-    Soft_switch.create engine
-      ~name:(host ^ "-ss2")
-      ~ports:n ~dataplane ?pmd ~miss:Soft_switch.Send_to_controller ()
-  in
-  let patches =
-    Array.init n (fun i ->
-        Patch_port.connect
-          (Soft_switch.node ss1, Translator.patch_port_of_logical i)
-          (Soft_switch.node ss2, i))
-  in
-  Translator.install ss1 map;
   let step =
     Printf.sprintf
       "instantiated SS_1 (%d ports) and SS_2 (%d ports), %d translator rules"

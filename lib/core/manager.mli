@@ -46,6 +46,28 @@ val provision :
     invalid for the device, the commit is rejected, or verification finds
     a mismatch. *)
 
+val sandwich :
+  Simnet.Engine.t ->
+  name:string ->
+  map:Port_map.t ->
+  ?shared_ss2:Softswitch.Soft_switch.t * int ->
+  ?patch_base:int ->
+  ?dataplane:Softswitch.Soft_switch.dataplane_kind ->
+  ?pmd:Softswitch.Pmd.config ->
+  unit ->
+  Softswitch.Soft_switch.t
+  * Softswitch.Soft_switch.t
+  * Softswitch.Patch_port.t array
+(** The software half of {!provision}, and of {!Failover}, {!Scaleout}
+    and {!Migration}'s shadow stage: create SS_1 (["<name>-ss1"],
+    [patch_base + n] ports, [Drop_on_miss]), then — unless
+    [shared_ss2 = (ss2, offset)] names an existing one — SS_2
+    (["<name>-ss2"], [n] ports, misses to the controller); patch
+    logical port [i] (SS_1 port [patch_base + i]) to SS_2 port
+    [offset + i]; install the {!Translator} rules, trunk on SS_1 port 0.
+    Returns [(ss1, ss2, patches)].  Switches take their dpids in
+    creation order. *)
+
 val configure_device :
   device:Mgmt.Device.t ->
   trunk_port:int ->

@@ -544,12 +544,6 @@ let recover ~wal ~txn_id ~device ?(hooks = no_hooks)
           act "journaled rolled-back";
           Ok (result (Rolled_back why)))
 
-let pp_recovery ppf r =
-  Format.fprintf ppf "@[<v>txn %s: %a -> %a" r.txn Mgmt.Txn.pp_resolution
-    r.resolution pp_status r.status;
-  List.iter (fun a -> Format.fprintf ppf "@,  %s" a) r.actions;
-  Format.fprintf ppf "@]"
-
 (* ------------------------------------------------------------------ *)
 (* Fleet orchestration                                                 *)
 (* ------------------------------------------------------------------ *)

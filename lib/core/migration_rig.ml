@@ -33,24 +33,17 @@ let engine t = t.engine
 let wal t = t.wal_
 let injector t = t.inj
 let controller t = t.ctrl
-let switch_names t = Array.to_list (Array.map (fun s -> s.name) t.switches)
 let device t i = t.switches.(i).dev
-
-let fast_channel =
-  {
-    Sdnctl.Channel.default_config with
-    keepalive_interval = Some (Sim_time.ms 2);
-    echo_timeout = Sim_time.ms 5;
-    reconnect_base = Sim_time.ms 1;
-    reconnect_max = Sim_time.ms 16;
-  }
 
 let build ?(num_switches = 3) ?(num_hosts = 2) ~seed () =
   if num_switches < 1 then Error "migration rig: need at least 1 switch"
   else if num_hosts < 2 then Error "migration rig: need at least 2 hosts"
   else begin
     let engine = Engine.create () in
-    let ctrl = Sdnctl.Controller.create engine ~channel_config:fast_channel () in
+    let ctrl =
+      Sdnctl.Controller.create engine
+        ~channel_config:Sdnctl.Channel.fast_config ()
+    in
     Sdnctl.Controller.add_app ctrl (Sdnctl.L2_learning.create ());
     let vendors =
       [| Mgmt.Device.Cisco_like; Mgmt.Device.Arista_like; Mgmt.Device.Juniper_like |]
@@ -119,17 +112,9 @@ let build ?(num_switches = 3) ?(num_hosts = 2) ~seed () =
 (* Probe traffic                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let answered sw =
-  Array.fold_left (fun acc h -> acc + Host.echo_replies h) 0 sw.hosts
-
 (* Cycle the ordered host pairs of one switch, like the chaos rig. *)
 let ping_next sw =
-  let n = Array.length sw.hosts in
-  let pairs = n * (n - 1) in
-  let idx = sw.pings mod pairs in
-  let src = idx / (n - 1) in
-  let rest = idx mod (n - 1) in
-  let dst = if rest >= src then rest + 1 else rest in
+  let src, dst = Traffic.pair ~n:(Array.length sw.hosts) sw.pings in
   sw.pings <- sw.pings + 1;
   Host.ping sw.hosts.(src)
     ~dst_mac:(Host.mac sw.hosts.(dst))
@@ -143,7 +128,7 @@ let probe_all ?(grace = Sim_time.ms 25) t =
   Engine.run t.engine
     ~until:(Sim_time.add (Engine.now t.engine) (Sim_time.ms 2));
   let before =
-    Array.map (fun sw -> answered sw) t.switches
+    Array.map (fun sw -> Traffic.answered sw.hosts) t.switches
   in
   let sent = ref 0 in
   Array.iter
@@ -157,7 +142,7 @@ let probe_all ?(grace = Sim_time.ms 25) t =
   Engine.run t.engine ~until:(Sim_time.add (Engine.now t.engine) grace);
   let got = ref 0 in
   Array.iteri
-    (fun i sw -> got := !got + (answered sw - before.(i)))
+    (fun i sw -> got := !got + (Traffic.answered sw.hosts - before.(i)))
     t.switches;
   !got = !sent
 
@@ -165,45 +150,13 @@ let probe_all ?(grace = Sim_time.ms 25) t =
 (* Hooks and gates                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let link_handler link action =
-  match (action : Fault.action) with
-  | Fault.Down ->
-      Link.set_up link false;
-      Ok ()
-  | Fault.Up ->
-      Link.set_up link true;
-      Link.set_impairments ~loss:0.0 ~jitter:0 link;
-      Ok ()
-  | Fault.Degrade { loss; jitter } -> (
-      try
-        Link.set_impairments ~loss ~jitter link;
-        Ok ()
-      with Invalid_argument msg -> Error msg)
-  | Fault.Flaky _ | Fault.Crash | Fault.Restart ->
-      Error "links only support down/up/degrade"
-
 (* Make-before-break "make": the whole sandwich comes up before the
    device config flips — SS_2 in fail-standalone so the dataplane works
    while the controller handshake is still in flight (the canary warmup
    absorbs that). *)
 let shadow_hook t sw map =
   let n = Array.length sw.hosts in
-  let ss1 =
-    Soft_switch.create t.engine ~name:(sw.name ^ "-ss1")
-      ~ports:(Translator.required_ports map)
-      ~miss:Soft_switch.Drop_on_miss ()
-  in
-  let ss2 =
-    Soft_switch.create t.engine ~name:(sw.name ^ "-ss2") ~ports:n
-      ~miss:Soft_switch.Send_to_controller ()
-  in
-  for i = 0 to n - 1 do
-    ignore
-      (Patch_port.connect
-         (Soft_switch.node ss1, Translator.patch_port_of_logical i)
-         (Soft_switch.node ss2, i))
-  done;
-  Translator.install ss1 map;
+  let ss1, ss2, _patches = Manager.sandwich t.engine ~name:sw.name ~map () in
   let trunk =
     Link.connect ~a_to_b:Link.ten_gige ~b_to_a:Link.ten_gige
       (Legacy_switch.node sw.legacy, n)
@@ -211,7 +164,7 @@ let shadow_hook t sw map =
   in
   let target = "trunk:" ^ sw.name in
   if not (List.mem target (Fault.targets t.inj)) then
-    Fault.register t.inj ~target (link_handler trunk);
+    Fault.register t.inj ~target (Fault.link_handler trunk);
   Soft_switch.set_connection_mode ss2 Soft_switch.Fail_standalone;
   let dpid = Sdnctl.Controller.attach_switch t.ctrl ss2 in
   let poller =
@@ -250,7 +203,7 @@ let gate ?(wrap_probe = fun p -> p) t sw =
   let probe () =
     let now_ns = Sim_time.to_ns (Engine.now t.engine) in
     Telemetry.Timeseries.record sw.answered_series ~ts_ns:now_ns
-      (float_of_int (answered sw));
+      (float_of_int (Traffic.answered sw.hosts));
     ping_next sw
   in
   Migration.slo_gate ~alerts:sw.alerts ~probe:(wrap_probe probe) ()
@@ -459,6 +412,7 @@ type breach = {
   panel : string;
   ok : bool;
   postmortem : Telemetry.Postmortem.snapshot option;
+  wal : Mgmt.Txn.t;
 }
 
 (* The breach runs under a freshly installed flight recorder: the trunk
@@ -556,6 +510,7 @@ and canary_breach_recorded t ~recorder ~seed =
       panel = Migration.Fleet.render fl;
       ok;
       postmortem;
+      wal = t.wal_;
     }
 
 let render_breach br =

@@ -36,7 +36,6 @@ val engine : t -> Simnet.Engine.t
 val wal : t -> Mgmt.Txn.t
 val injector : t -> Simnet.Fault.injector
 val controller : t -> Sdnctl.Controller.t
-val switch_names : t -> string list
 val device : t -> int -> Mgmt.Device.t
 
 val member : t -> int -> Migration.Fleet.member
@@ -107,6 +106,7 @@ type breach = {
   postmortem : Telemetry.Postmortem.snapshot option;
       (** captured at the end of the run (the trunk degradation is the
           trigger); same seed → the same snapshot, byte for byte *)
+  wal : Mgmt.Txn.t;         (** the fleet's write-ahead log *)
 }
 
 val canary_breach : ?num_hosts:int -> seed:int -> unit -> (breach, string) result

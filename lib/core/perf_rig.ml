@@ -12,14 +12,8 @@ type report = {
   pings : int;
 }
 
-(* Same pair-cycling order as the chaos and dashboard probes. *)
 let ping_pair deployment ~seq k =
-  let n = Deployment.num_hosts deployment in
-  let pairs = n * (n - 1) in
-  let idx = k mod pairs in
-  let src = idx / (n - 1) in
-  let rest = idx mod (n - 1) in
-  let dst = if rest >= src then rest + 1 else rest in
+  let src, dst = Traffic.pair ~n:(Deployment.num_hosts deployment) k in
   Host.ping
     (Deployment.host deployment src)
     ~dst_mac:(Deployment.host_mac dst) ~dst_ip:(Deployment.host_ip dst) ~seq

@@ -14,8 +14,7 @@ type t = {
   reports : Manager.report array;
 }
 
-let provision engine ~members ?base_vid ?(dataplane = Soft_switch.Eswitch) ?pmd
-    () =
+let provision engine ~members ?base_vid ?dataplane ?pmd () =
   if members = [] then Error "Scaleout.provision: no members"
   else begin
     (* Configure every device; undo the ones already done on failure. *)
@@ -49,26 +48,18 @@ let provision engine ~members ?base_vid ?(dataplane = Soft_switch.Eswitch) ?pmd
         done;
         let total = Array.fold_left ( + ) 0 sizes in
         let ss2 =
-          Soft_switch.create engine ~name:"scaleout-ss2" ~ports:total ~dataplane
+          Soft_switch.create engine ~name:"scaleout-ss2" ~ports:total ?dataplane
             ?pmd ~miss:Soft_switch.Send_to_controller ()
         in
         let ss1s =
           Array.of_list
             (List.mapi
                (fun m (member, (map, _)) ->
-                 let ss1 =
-                   Soft_switch.create engine
-                     ~name:(Mgmt.Device.hostname member.device ^ "-ss1")
-                     ~ports:(Translator.required_ports map)
-                     ~dataplane ?pmd ~miss:Soft_switch.Drop_on_miss ()
+                 let ss1, _, _ =
+                   Manager.sandwich engine
+                     ~name:(Mgmt.Device.hostname member.device)
+                     ~map ~shared_ss2:(ss2, offsets.(m)) ?dataplane ?pmd ()
                  in
-                 Translator.install ss1 map;
-                 for i = 0 to Port_map.size map - 1 do
-                   ignore
-                     (Patch_port.connect
-                        (Soft_switch.node ss1, Translator.patch_port_of_logical i)
-                        (Soft_switch.node ss2, offsets.(m) + i))
-                 done;
                  ss1)
                configured)
         in

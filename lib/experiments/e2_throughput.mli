@@ -25,9 +25,5 @@ val build_harmless :
   unit ->
   Harmless.Deployment.t
 
-val filler_app : Sdnctl.Controller.app
-(** Installs 1000 never-matching high-priority rules (the "big OF
-    program" the linear dataplane must scan). *)
-
 val rows : unit -> row list
 val run : unit -> row list

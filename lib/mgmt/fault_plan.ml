@@ -48,5 +48,4 @@ let should_fail t ~op =
 
 let ops t = t.ops
 let injected t = t.injected
-let pending_forced t = t.forced
 let log t = List.rev t.log

@@ -28,8 +28,6 @@ val ops : t -> int
 val injected : t -> int
 (** Failures injected so far. *)
 
-val pending_forced : t -> int
-
 val log : t -> (int * string) list
 (** (operation index, operation name) of every injected failure, oldest
     first. *)

@@ -41,7 +41,6 @@ let pp fmt t = Format.pp_print_string fmt (to_string t)
 module Std = struct
   let mib2 = [ 1; 3; 6; 1; 2; 1 ]
   let sys_descr = mib2 @ [ 1; 1; 0 ]
-  let sys_object_id = mib2 @ [ 1; 2; 0 ]
   let sys_up_time = mib2 @ [ 1; 3; 0 ]
   let sys_name = mib2 @ [ 1; 5; 0 ]
   let if_number = mib2 @ [ 2; 1; 0 ]

@@ -31,8 +31,6 @@ val pp : Format.formatter -> t -> unit
 module Std : sig
   val sys_descr : t
 
-  val sys_object_id : t
-
   val sys_up_time : t
 
   val sys_name : t

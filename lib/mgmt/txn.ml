@@ -141,8 +141,6 @@ let entry_to_string = function
 let record_to_string r =
   Printf.sprintf "txn %s %d %s" r.txn r.seq (entry_to_string r.entry)
 
-let pp_record ppf r = Format.pp_print_string ppf (record_to_string r)
-
 let pp_resolution ppf = function
   | Fresh -> Format.pp_print_string ppf "fresh"
   | Committed_ -> Format.pp_print_string ppf "committed"
@@ -152,73 +150,63 @@ let pp_resolution ppf = function
 let to_string t =
   String.concat "" (List.map (fun r -> record_to_string r ^ "\n") (records t))
 
+(* Split at the first space, keeping both sides verbatim. *)
+let cut s =
+  match String.index_opt s ' ' with
+  | None -> (s, None)
+  | Some i ->
+      (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
+
+(* Exactly what [record_to_string] writes: single spaces, a canonical
+   decimal seq, the detail verbatim. *)
 let parse_line line =
-  (* "txn <id> <seq> <kind> [rest…]" *)
-  let line = String.trim line in
-  let split_word s =
-    match String.index_opt s ' ' with
-    | None -> (s, "")
-    | Some i ->
-        ( String.sub s 0 i,
-          String.trim (String.sub s (i + 1) (String.length s - i - 1)) )
-  in
-  let kw, rest = split_word line in
-  if kw <> "txn" then Error "expected 'txn'"
-  else
-    let txn, rest = split_word rest in
-    let seq_s, rest = split_word rest in
-    let kind, detail = split_word rest in
-    if txn = "" then Error "missing transaction id"
-    else
+  match cut line with
+  | "txn", Some rest -> (
+      let txn, rest = cut rest in
+      let seq_s, rest = Option.fold ~none:("", None) ~some:cut rest in
+      let kind, detail = Option.fold ~none:("", None) ~some:cut rest in
       match int_of_string_opt seq_s with
-      | None -> Error (Printf.sprintf "bad sequence number %S" seq_s)
-      | Some seq -> (
-          let need_token what =
-            if detail = "" || has_space detail then
-              Error (Printf.sprintf "%s must be a single token" what)
-            else Ok detail
-          in
-          let no_detail entry =
-            if detail = "" then Ok entry
-            else Error (Printf.sprintf "unexpected detail after %S" kind)
-          in
+      | _ when txn = "" || has_space txn ->
+          Error (Printf.sprintf "bad transaction id %S" txn)
+      | Some seq when string_of_int seq = seq_s -> (
           let entry =
-            match kind with
-            | "begin" -> Ok (Begin detail)
-            | "stage-start" -> Result.map (fun s -> Stage_start s) (need_token "stage")
-            | "stage-done" -> Result.map (fun s -> Stage_done s) (need_token "stage")
-            | "note" -> Ok (Note detail)
-            | "rollback" -> Ok (Rollback detail)
-            | "rolled-back" -> no_detail Rolled_back
-            | "committed" -> no_detail Committed
-            | k -> Error (Printf.sprintf "unknown record kind %S" k)
+            match (kind, detail) with
+            | "begin", Some d -> Ok (Begin d)
+            | "note", Some d -> Ok (Note d)
+            | "rollback", Some d -> Ok (Rollback d)
+            | "stage-start", Some s when s <> "" && not (has_space s) ->
+                Ok (Stage_start s)
+            | "stage-done", Some s when s <> "" && not (has_space s) ->
+                Ok (Stage_done s)
+            | "rolled-back", None -> Ok Rolled_back
+            | "committed", None -> Ok Committed
+            | ("begin" | "note" | "rollback"), None ->
+                Error (Printf.sprintf "missing detail after %S" kind)
+            | ("stage-start" | "stage-done"), _ ->
+                Error "stage must be a single token"
+            | ("rolled-back" | "committed"), Some _ ->
+                Error (Printf.sprintf "unexpected detail after %S" kind)
+            | k, _ -> Error (Printf.sprintf "unknown record kind %S" k)
           in
           Result.map (fun entry -> { txn; seq; entry }) entry)
+      | _ -> Error (Printf.sprintf "bad sequence number %S" seq_s))
+  | _ -> Error "expected 'txn'"
 
 let of_string text =
-  let lines = String.split_on_char '\n' text in
   let rec go acc last_seq n = function
-    | [] ->
-        let records = List.rev acc in
-        Ok
-          {
-            records = acc;
-            next_seq = (match records with [] -> 1 | _ -> last_seq + 1);
-            crash_in = 0;
-          }
-    | line :: rest ->
-        let trimmed = String.trim line in
-        if trimmed = "" || trimmed.[0] = '#' then go acc last_seq (n + 1) rest
-        else (
-          match parse_line trimmed with
-          | Error e -> Error (Printf.sprintf "line %d: %s" n e)
-          | Ok r ->
-              if r.seq <= last_seq then
-                Error
-                  (Printf.sprintf "line %d: sequence %d not increasing" n r.seq)
-              else go (r :: acc) r.seq (n + 1) rest)
+    | [] | [ "" ] ->
+        Ok { records = acc; next_seq = last_seq + 1; crash_in = 0 }
+    | [ _ ] -> Error (Printf.sprintf "line %d: missing final newline" n)
+    | line :: rest -> (
+        match parse_line line with
+        | Error e -> Error (Printf.sprintf "line %d: %s" n e)
+        | Ok r ->
+            if r.seq <= last_seq then
+              Error
+                (Printf.sprintf "line %d: sequence %d not increasing" n r.seq)
+            else go (r :: acc) r.seq (n + 1) rest)
   in
-  go [] 0 1 lines
+  go [] 0 1 (String.split_on_char '\n' text)
 
 let save t ~path =
   Out_channel.with_open_text path (fun oc ->

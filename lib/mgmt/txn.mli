@@ -9,8 +9,10 @@
     {!to_string}/{!of_string} so recovery can replay exactly what a
     crashed process left on disk.
 
-    Record grammar (fields are whitespace-separated; the trailing
-    free-text field may contain spaces):
+    Record grammar: fields are separated by exactly one space, [<seq>]
+    is a canonical decimal, the trailing free-text field is kept
+    verbatim and may contain spaces, and every record, the last too,
+    ends in a newline:
 
     {v
     txn <id> <seq> begin <detail…>
@@ -80,16 +82,17 @@ val resolve : t -> txn:string -> resolution
 (** Pure function of the record sequence; idempotent replay builds on
     this: resolving an already-terminal log changes nothing. *)
 
-val pp_record : Format.formatter -> record -> unit
 val pp_resolution : Format.formatter -> resolution -> unit
 
 val to_string : t -> string
 (** One record per line, parseable by {!of_string}. *)
 
 val of_string : string -> (t, string) result
-(** Parse a serialized log ([#] comments and blank lines ignored).
-    Errors name the offending line.  Sequence numbers are validated to
-    be strictly increasing. *)
+(** Parse a serialized log.  The log is written only by {!to_string},
+    so only its exact output is accepted: no comments, blank lines,
+    extra spaces or non-canonical numbers, and an accepted text renders
+    back to itself.  Errors name the offending line.  Sequence numbers
+    are validated to be strictly increasing. *)
 
 val save : t -> path:string -> unit
 (** @raise Sys_error on I/O failure. *)

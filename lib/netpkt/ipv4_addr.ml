@@ -15,8 +15,6 @@ let of_octets a b c d =
     (Int32.shift_left (Int32.of_int a) 24)
     (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d))
 
-let localhost = of_octets 127 0 0 1
-
 let octet t i =
   Int32.to_int (Int32.logand (Int32.shift_right_logical t ((3 - i) * 8)) 0xffl)
 

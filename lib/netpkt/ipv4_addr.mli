@@ -9,9 +9,6 @@ val any : t
 val broadcast : t
 (** [255.255.255.255]. *)
 
-val localhost : t
-(** [127.0.0.1]. *)
-
 val of_int32 : int32 -> t
 val to_int32 : t -> int32
 

@@ -42,16 +42,9 @@ module Act : sig
       sorted).  Notably it does {e not} erase rewrites under a discard:
       a later composition can overwrite [Loc] and resurrect the packet,
       so that quotient is only sound at observation time
-      ({!is_plain_disc}, {!strip_disc}). *)
+      ({!strip_disc}). *)
 
   val id : t
-  val is_id : t -> bool
-
-  val is_plain_disc : t -> bool
-  (** Location finally [Disc], no meter, no bucket choice: nothing is
-      emitted and no side effect fires, whatever other rewrites the
-      action carries — it contributes nothing next to other actions in a
-      leaf. *)
 
   val loc : t -> Syntax.location option
   (** The location modification, if any ([None] = leave at ingress port). *)
@@ -91,7 +84,6 @@ val branch : ctx -> key -> t -> t -> t
     greater than [key] (the ordered-diagram invariant is the caller's). *)
 
 val atom : ctx -> key -> t
-val natom : ctx -> key -> t
 
 val sum : ctx -> t -> t -> t
 (** Union: pointwise set union of leaf action sets. *)
@@ -99,9 +91,6 @@ val sum : ctx -> t -> t -> t
 val prod : ctx -> t -> t -> t
 (** [prod c pred d] guards [d] by a {e predicate} diagram (leaves [[]] or
     [[id]] only). @raise Invalid_argument if the left operand is not one. *)
-
-val ors : ctx -> t -> t -> t
-(** Fallback: where the left diagram's leaf is empty, use the right's. *)
 
 val seq : ctx -> t -> t -> t
 (** Sequential composition: resolves the right diagram's tests against the
@@ -123,14 +112,14 @@ val eval : (Syntax.field -> Syntax.value option) -> t -> Act.t list
     on an absent field takes the [lo] edge). *)
 
 val strip_disc : ctx -> t -> t
-(** Quotient by output observability: plain-discard actions
-    ({!Act.is_plain_disc}) are removed from every leaf, so a leaf of
-    discards alone becomes {!drop}.  The distinctions are kept during
-    composition because the algebra can still see them — [orelse] stops
-    at an explicit discard but falls through an empty set, and a later
-    [seq] can test or overwrite a discarded state's fields — but a flow
-    table cannot: the final action set is all that remains.  Used by the
-    compiler, never during policy composition. *)
+(** Quotient by output observability: plain-discard actions (location
+    finally [Disc], no meter, no bucket choice) are removed from every
+    leaf, so a leaf of discards alone becomes {!drop}.  The distinctions
+    are kept during composition because the algebra can still see them
+    — [orelse] stops at an explicit discard but falls through an empty
+    set, and a later [seq] can test or overwrite a discarded state's
+    fields — but a flow table cannot: the final action set is all that
+    remains.  Used by the compiler, never during policy composition. *)
 
 val size : t -> int
 (** Number of distinct nodes (shared nodes counted once). *)

@@ -231,8 +231,6 @@ let vlan_vid_is n = test Vlan_vid (Int n)
 let ip_proto_is n = test Ip_proto (Int n)
 let ip_src_is a = test Ip_src (Ip a)
 let ip_dst_is a = test Ip_dst (Ip a)
-let ip_tos_is n = test Ip_tos (Int n)
-let l4_src_is n = test L4_src (Int n)
 let l4_dst_is n = test L4_dst (Int n)
 let fwd p = Mod (Loc, At (Phys p))
 let flood = Mod (Loc, At Flood)
@@ -256,11 +254,6 @@ let unions = function
 let seqs = function
   | [] -> id
   | p :: ps -> List.fold_left (fun acc q -> Seq (acc, q)) p ps
-
-let rec orelses = function
-  | [] -> drop
-  | [ p ] -> p
-  | p :: ps -> Orelse (p, orelses ps)
 
 let police ~meter_id ~rate_kbps ~burst_kb =
   Police { meter_id; rate_kbps; burst_kb }

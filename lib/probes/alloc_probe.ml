@@ -6,21 +6,30 @@
    it is only called once a recorder is known to be installed, so the
    bytecode float boxing also stays off the disabled path. *)
 
-type samples = { mutable data : int array; mutable len : int }
+module Samples = struct
+  type t = { mutable data : int array; mutable len : int }
 
-let samples_create () = { data = Array.make 16 0; len = 0 }
+  let create () = { data = Array.make 16 0; len = 0 }
 
-let samples_push s v =
-  if s.len = Array.length s.data then begin
-    let bigger = Array.make (2 * s.len) 0 in
-    Array.blit s.data 0 bigger 0 s.len;
-    s.data <- bigger
-  end;
-  s.data.(s.len) <- v;
-  s.len <- s.len + 1
+  let push s v =
+    if s.len = Array.length s.data then begin
+      let bigger = Array.make (2 * s.len) 0 in
+      Array.blit s.data 0 bigger 0 s.len;
+      s.data <- bigger
+    end;
+    s.data.(s.len) <- v;
+    s.len <- s.len + 1
+
+  let to_array s = Array.sub s.data 0 s.len
+
+  let iter f s =
+    for i = 0 to s.len - 1 do
+      f s.data.(i)
+    done
+end
 
 type t = {
-  tbl : (string, samples) Hashtbl.t;
+  tbl : (string, Samples.t) Hashtbl.t;
   mutable order : string list;  (* reversed first-appearance *)
   mutable total : int;
 }
@@ -47,12 +56,12 @@ let record site m =
           match Hashtbl.find_opt r.tbl site with
           | Some s -> s
           | None ->
-              let s = samples_create () in
+              let s = Samples.create () in
               Hashtbl.replace r.tbl site s;
               r.order <- site :: r.order;
               s
         in
-        samples_push s (max 0 delta);
+        Samples.push s (max 0 delta);
         r.total <- r.total + 1
       end
 
@@ -68,7 +77,7 @@ let sites t = List.rev t.order
 
 let samples t site =
   match Hashtbl.find_opt t.tbl site with
-  | Some s -> Array.sub s.data 0 s.len
+  | Some s -> Samples.to_array s
   | None -> [||]
 
 let count t = t.total

@@ -22,6 +22,20 @@
     The recorder is process-global, single-domain, like the installed
     flight recorder. *)
 
+(** A growable int buffer: a site's sample store here, a stage's in
+    [Telemetry.Profile]. *)
+module Samples : sig
+  type t
+
+  val create : unit -> t
+  val push : t -> int -> unit
+
+  val to_array : t -> int array
+  (** A fresh copy, oldest first. *)
+
+  val iter : (int -> unit) -> t -> unit
+end
+
 type t
 (** A recorder: per-site sample sets, keyed by the probe name. *)
 

@@ -143,6 +143,22 @@ let parse_script text =
 
 (* ---- the injector ---- *)
 
+let link_handler link = function
+  | Down ->
+      Link.set_up link false;
+      Ok ()
+  | Up ->
+      Link.set_up link true;
+      (* Also heal any lingering degradation. *)
+      Link.set_impairments ~loss:0.0 ~jitter:0 link;
+      Ok ()
+  | Degrade { loss; jitter } -> (
+      try
+        Link.set_impairments ~loss ~jitter link;
+        Ok ()
+      with Invalid_argument msg -> Error msg)
+  | Flaky _ | Crash | Restart -> Error "links only support down/up/degrade"
+
 type applied = {
   at : Sim_time.t;
   event : event;

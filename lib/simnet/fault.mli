@@ -32,7 +32,6 @@ type action =
 
 type event = { after : Sim_time.span; target : string; action : action }
 
-val pp_action : Format.formatter -> action -> unit
 val pp_event : Format.formatter -> event -> unit
 
 val parse_span : string -> (Sim_time.span, string) result
@@ -73,6 +72,11 @@ val schedule : injector -> event list -> unit
 
 val run_script : injector -> string -> (event list, string) result
 (** {!parse_script} then {!schedule}; returns the parsed events. *)
+
+val link_handler : Link.t -> action -> (unit, string) result
+(** The handler for a link target: [Down]/[Up] toggle it ([Up] also
+    clears impairments), [Degrade] impairs it; anything else is an
+    [Error]. *)
 
 (** One log entry: when the event fired and whether it applied. *)
 type applied = {

@@ -36,26 +36,5 @@ module Meter : sig
   (** Payload bits per second since the window start. *)
 end
 
-(** Log-bucketed latency histogram (HDR-style, ~4% relative precision). *)
-module Histogram : sig
-  type t
-
-  val create : unit -> t
-  val record : t -> int -> unit
-  (** Record a non-negative sample (nanoseconds by convention). *)
-
-  val count : t -> int
-  val min : t -> int
-  (** @raise Invalid_argument when empty. *)
-
-  val max : t -> int
-  val mean : t -> float
-  val percentile : t -> float -> int
-  (** [percentile t 99.0] — the smallest recorded bucket value at or above
-      the given percentile.  @raise Invalid_argument when empty or p
-      outside (0, 100]. *)
-
-  val merge : t -> t -> t
-  val pp_summary : Format.formatter -> t -> unit
-  (** "n=... min=... p50=... p99=... max=..." with times in readable units. *)
-end
+(** Log-bucketed latency histogram (HDR-style, ~6% relative precision). *)
+module Histogram = Telemetry.Hdr

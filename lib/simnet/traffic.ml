@@ -6,6 +6,15 @@ type size = Fixed of int | Uniform of int * int | Imix
 
 type stream = { mutable sent : int }
 
+let pair ~n k =
+  let idx = k mod (n * (n - 1)) in
+  let src = idx / (n - 1) in
+  let rest = idx mod (n - 1) in
+  (src, if rest >= src then rest + 1 else rest)
+
+let answered hosts =
+  Array.fold_left (fun acc h -> acc + Host.echo_replies h) 0 hosts
+
 let sent s = s.sent
 
 let interval_ns rng = function

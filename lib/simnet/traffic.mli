@@ -34,6 +34,16 @@ val udp_stream :
     accumulate one-way latency (see {!Host.latency}).  Defaults:
     ports 10000→20000, start at the current engine time. *)
 
+val pair : n:int -> int -> int * int
+(** [pair ~n k] is the [k]-th ordered pair [(src, dst)], [src <> dst],
+    of [n] hosts: [k = 0 .. n(n-1)-1] visits every pair once, by source
+    then destination, and [k + n(n-1)] gives the same pair as [k].  The
+    probe order of every rig, so fresh (never-communicated) pairs keep
+    appearing.  Needs [n >= 2]. *)
+
+val answered : Host.t array -> int
+(** Echo replies received across [hosts]. *)
+
 val sent : stream -> int
 (** Packets handed to the NIC so far. *)
 

@@ -15,6 +15,3 @@ val all : (string * (Openflow.Pipeline.t -> Dataplane.t)) list
 val names : string list
 
 val find : string -> (Openflow.Pipeline.t -> Dataplane.t) option
-
-val tiny_cache_config : Ovs_like.config
-(** 4-entry EMC, 8-entry megaflow table. *)

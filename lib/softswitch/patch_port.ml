@@ -35,4 +35,3 @@ let disconnect t =
   Node.detach t.node_b ~port:t.port_b
 
 let packets_a_to_b t = t.ab
-let packets_b_to_a t = t.ba

@@ -11,4 +11,3 @@ val connect : Simnet.Node.t * int -> Simnet.Node.t * int -> t
 val disconnect : t -> unit
 
 val packets_a_to_b : t -> int
-val packets_b_to_a : t -> int

@@ -48,7 +48,6 @@ let node t = t.node
 let name t = t.name
 let pipeline t = t.pipeline
 let datapath_id t = t.datapath_id
-let dataplane_name t = t.dataplane.Dataplane.name
 let set_controller t f =
   t.controller <-
     (fun msg ->

@@ -48,7 +48,6 @@ val node : t -> Simnet.Node.t
 val name : t -> string
 val pipeline : t -> Openflow.Pipeline.t
 val datapath_id : t -> int64
-val dataplane_name : t -> string
 
 val set_controller : t -> (Openflow.Of_message.t -> unit) -> unit
 (** Where the agent sends its messages (packet-ins, replies). *)

@@ -1,28 +1,16 @@
 include Alloc_probe
 
-type site_stats = { count : int; p50 : int; p95 : int; max : int; total : int }
+type site_stats = Profile.stats = {
+  count : int;
+  p50 : int;
+  p95 : int;
+  p99 : int;
+  mean : float;
+  max : int;
+  total : int;
+}
 
-let nearest_rank sorted n p =
-  if n = 0 then 0
-  else
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    sorted.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
-
-let stats t site =
-  match samples t site with
-  | [||] -> None
-  | data ->
-      let sorted = Array.copy data in
-      Array.sort compare sorted;
-      let n = Array.length sorted in
-      Some
-        {
-          count = n;
-          p50 = nearest_rank sorted n 50.0;
-          p95 = nearest_rank sorted n 95.0;
-          max = sorted.(n - 1);
-          total = Array.fold_left ( + ) 0 sorted;
-        }
+let stats t site = Profile.exact_stats (samples t site)
 
 let table t =
   let buf = Buffer.create 1024 in

@@ -17,16 +17,19 @@
 include module type of Alloc_probe
 (** @inline *)
 
-type site_stats = {
+type site_stats = Profile.stats = {
   count : int;
   p50 : int;  (** words, exact nearest-rank *)
   p95 : int;
+  p99 : int;
+  mean : float;
   max : int;
   total : int;  (** summed words across all samples *)
 }
 
 val stats : t -> string -> site_stats option
-(** Exact stats for one site; [None] for an unknown site. *)
+(** Exact stats for one site ({!Profile.exact_stats}); [None] for an
+    unknown site. *)
 
 val table : t -> string
 (** Deterministic text table: one row per site (first-appearance

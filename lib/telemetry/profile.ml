@@ -14,53 +14,42 @@ type stats = {
   p95 : int;
   p99 : int;
   mean : float;
+  max : int;
   total : int;
 }
 
-type samples = { mutable data : int array; mutable len : int }
-
-let samples_create () = { data = Array.make 16 0; len = 0 }
-
-let samples_push s v =
-  if s.len = Array.length s.data then begin
-    let bigger = Array.make (2 * s.len) 0 in
-    Array.blit s.data 0 bigger 0 s.len;
-    s.data <- bigger
-  end;
-  s.data.(s.len) <- v;
-  s.len <- s.len + 1
+module Samples = Alloc_probe.Samples
 
 let nearest_rank sorted n p =
-  if n = 0 then 0
-  else
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
+  let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+  sorted.(max 0 (min (n - 1) (rank - 1)))
 
-let stats_of samples =
-  if samples.len = 0 then None
-  else begin
-    let sorted = Array.sub samples.data 0 samples.len in
-    Array.sort compare sorted;
-    let n = samples.len in
-    let total = Array.fold_left ( + ) 0 sorted in
-    Some
-      {
-        count = n;
-        p50 = nearest_rank sorted n 50.0;
-        p95 = nearest_rank sorted n 95.0;
-        p99 = nearest_rank sorted n 99.0;
-        mean = float_of_int total /. float_of_int n;
-        total;
-      }
-  end
+let exact_stats sorted =
+  match Array.length sorted with
+  | 0 -> None
+  | n ->
+      Array.sort compare sorted;
+      let total = Array.fold_left ( + ) 0 sorted in
+      Some
+        {
+          count = n;
+          p50 = nearest_rank sorted n 50.0;
+          p95 = nearest_rank sorted n 95.0;
+          p99 = nearest_rank sorted n 99.0;
+          mean = float_of_int total /. float_of_int n;
+          max = sorted.(n - 1);
+          total;
+        }
+
+let stats_of samples = exact_stats (Samples.to_array samples)
 
 type t = {
-  latency : (string, samples) Hashtbl.t;
-  cycles : (string, samples) Hashtbl.t;
-  alloc : (string, samples) Hashtbl.t;
+  latency : (string, Samples.t) Hashtbl.t;
+  cycles : (string, Samples.t) Hashtbl.t;
+  alloc : (string, Samples.t) Hashtbl.t;
   mutable stage_order : string list;  (* reversed first-appearance *)
-  e2e_samples : samples;
-  e2e_alloc_samples : samples;
+  e2e_samples : Samples.t;
+  e2e_alloc_samples : Samples.t;
   mutable traces : int;
 }
 
@@ -70,8 +59,8 @@ let create () =
     cycles = Hashtbl.create 32;
     alloc = Hashtbl.create 32;
     stage_order = [];
-    e2e_samples = samples_create ();
-    e2e_alloc_samples = samples_create ();
+    e2e_samples = Samples.create ();
+    e2e_alloc_samples = Samples.create ();
     traces = 0;
   }
 
@@ -79,7 +68,7 @@ let stage_samples t key =
   match Hashtbl.find_opt t.latency key with
   | Some s -> s
   | None ->
-      let s = samples_create () in
+      let s = Samples.create () in
       Hashtbl.replace t.latency key s;
       t.stage_order <- key :: t.stage_order;
       s
@@ -88,7 +77,7 @@ let cycle_samples t key =
   match Hashtbl.find_opt t.cycles key with
   | Some s -> s
   | None ->
-      let s = samples_create () in
+      let s = Samples.create () in
       Hashtbl.replace t.cycles key s;
       s
 
@@ -96,7 +85,7 @@ let alloc_samples t key =
   match Hashtbl.find_opt t.alloc key with
   | Some s -> s
   | None ->
-      let s = samples_create () in
+      let s = Samples.create () in
       Hashtbl.replace t.alloc key s;
       s
 
@@ -105,8 +94,8 @@ let record_trace ?stage_of t trace =
   | [] -> ()
   | root :: children ->
       t.traces <- t.traces + 1;
-      samples_push t.e2e_samples (Span.duration_ns root);
-      samples_push t.e2e_alloc_samples (Span.alloc_words root);
+      Samples.push t.e2e_samples (Span.duration_ns root);
+      Samples.push t.e2e_alloc_samples (Span.alloc_words root);
       (* Leaves only: stage spans (have a component) and transit spans;
          visit spans would double-count their stages. *)
       let parents = Hashtbl.create 16 in
@@ -133,10 +122,10 @@ let record_trace ?stage_of t trace =
               if occurrence = 1 then s.Span.name
               else Printf.sprintf "%s#%d" s.Span.name occurrence
             in
-            samples_push (stage_samples t key) (Span.duration_ns s);
-            samples_push (alloc_samples t key) (Span.alloc_words s);
+            Samples.push (stage_samples t key) (Span.duration_ns s);
+            Samples.push (alloc_samples t key) (Span.alloc_words s);
             if s.Span.cycles > 0 then
-              samples_push (cycle_samples t key) s.Span.cycles
+              Samples.push (cycle_samples t key) s.Span.cycles
           end)
         children
 
@@ -173,9 +162,7 @@ let alloc_p50_sum_words t =
 let publish ?(registry = Registry.default) ?(prefix = "harmless") t =
   let observe_all name ?labels samples =
     let h = Registry.Histogram.v ~registry ?labels name in
-    for i = 0 to samples.len - 1 do
-      Registry.Histogram.observe h samples.data.(i)
-    done
+    Samples.iter (Registry.Histogram.observe h) samples
   in
   List.iter
     (fun stage ->

@@ -26,8 +26,13 @@ type stats = {
   p95 : int;
   p99 : int;
   mean : float;
+  max : int;
   total : int;  (** sum of samples *)
 }
+
+val exact_stats : int array -> stats option
+(** Exact nearest-rank stats of raw samples, sorting the array in
+    place; [None] when it is empty.  {!Allocprof.stats} uses it too. *)
 
 type t
 
@@ -52,11 +57,6 @@ val stage_stats : t -> stage:string -> stats option
 val stage_cycles : t -> stage:string -> stats option
 (** Modelled-cycles distribution; [None] also when the stage never
     reported a cycle cost. *)
-
-val stage_alloc : t -> stage:string -> stats option
-(** Minor-words-allocated distribution (from the span derivation's
-    word endpoints — see {!Span.alloc_words}).  All-zero for traces
-    whose hops never carried a word counter. *)
 
 val e2e : t -> stats option
 (** End-to-end (first hop → last hop) latency distribution. *)

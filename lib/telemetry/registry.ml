@@ -47,80 +47,6 @@ let normalize_labels labels =
   dup sorted;
   sorted
 
-(* HDR-style log-bucketed histogram: values 0..63 exact, then 16
-   sub-buckets per power of two (<= ~6% relative error) — the same
-   scheme Simnet.Stats.Histogram uses, rebuilt here so layers below
-   simnet can record into a registry too. *)
-module Hdr = struct
-  let sub_buckets = 16
-  let linear_limit = 64
-  let bucket_count = linear_limit + (64 * sub_buckets)
-
-  type t = {
-    counts : int array;
-    mutable total : int;
-    mutable vmin : int;
-    mutable vmax : int;
-    mutable sum : float;
-  }
-
-  let create () =
-    { counts = Array.make bucket_count 0; total = 0; vmin = max_int; vmax = 0; sum = 0.0 }
-
-  let index_of v =
-    if v < linear_limit then v
-    else
-      let rec high_bit n acc = if n <= 1 then acc else high_bit (n lsr 1) (acc + 1) in
-      let h = high_bit v 0 in
-      let sub = (v lsr (h - 4)) land (sub_buckets - 1) in
-      linear_limit + (((h - 6) * sub_buckets) + sub)
-
-  let value_of idx =
-    if idx < linear_limit then idx
-    else
-      let idx = idx - linear_limit in
-      let h = (idx / sub_buckets) + 6 in
-      let sub = idx mod sub_buckets in
-      ((sub_buckets + sub) lsl (h - 4)) + ((1 lsl (h - 4)) - 1)
-
-  let observe t v =
-    if v < 0 then invalid_arg "Telemetry histogram: negative sample";
-    let idx = index_of v in
-    t.counts.(idx) <- t.counts.(idx) + 1;
-    t.total <- t.total + 1;
-    if v < t.vmin then t.vmin <- v;
-    if v > t.vmax then t.vmax <- v;
-    t.sum <- t.sum +. float_of_int v
-
-  let count t = t.total
-  let sum t = t.sum
-  let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
-
-  let percentile t p =
-    if t.total = 0 then invalid_arg "Telemetry histogram: percentile of empty";
-    if p <= 0.0 || p > 100.0 then invalid_arg "Telemetry histogram: bad percentile";
-    let target = int_of_float (ceil (p /. 100.0 *. float_of_int t.total)) in
-    let acc = ref 0 and result = ref t.vmax and found = ref false in
-    (try
-       for i = 0 to bucket_count - 1 do
-         acc := !acc + t.counts.(i);
-         if !acc >= target then begin
-           result := Stdlib.min (value_of i) t.vmax;
-           found := true;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !found then Stdlib.max !result t.vmin else t.vmax
-
-  let reset t =
-    Array.fill t.counts 0 bucket_count 0;
-    t.total <- 0;
-    t.vmin <- max_int;
-    t.vmax <- 0;
-    t.sum <- 0.0
-end
-
 type kind = Counter_kind | Gauge_kind | Histogram_kind
 
 type value =
@@ -215,7 +141,7 @@ module Histogram = struct
     | Histogram_v h -> h
     | Counter_v _ | Gauge_v _ -> assert false
 
-  let observe = Hdr.observe
+  let observe = Hdr.record
   let count = Hdr.count
   let sum = Hdr.sum
   let mean = Hdr.mean

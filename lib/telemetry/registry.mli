@@ -52,9 +52,8 @@ module Gauge : sig
   val value : t -> float
 end
 
-(** Log-bucketed value distributions (~6% relative error), the same
-    bucketing as [Simnet.Stats.Histogram].  Samples are non-negative
-    ints (nanoseconds or cycles by convention). *)
+(** Log-bucketed value distributions: {!Hdr} histograms.  Samples are
+    non-negative ints (nanoseconds or cycles by convention). *)
 module Histogram : sig
   type reg := t
   type t

@@ -109,8 +109,6 @@ type level = Debug | Info | Warn | Error
 val level_name : level -> string
 (** ["debug"], ["info"], ["warn"], ["error"]. *)
 
-val level_of_string : string -> level option
-
 type event = {
   seq : int;  (** per-recorder emission order, shared with hops *)
   ts_ns : int;

@@ -118,78 +118,8 @@ let tracker_tests =
         check Alcotest.int "evicted" 0 (List.length (Sdnctl.Host_tracker.hosts tracker)));
   ]
 
-
-
-(* ---- ARP proxy ---- *)
-
-let arp_proxy_tests =
-  [
-    tc "known targets answered by the controller, no flood" (fun () ->
-        let engine = Engine.create () in
-        let d =
-          match Harmless.Deployment.build_harmless engine ~num_hosts:3 () with
-          | Ok d -> d
-          | Error m -> failwith m
-        in
-        let tracker = Sdnctl.Host_tracker.create () in
-        ignore
-          (Experiments_lib.Common.attach_with_apps d
-             [
-               Sdnctl.Host_tracker.app tracker;
-               Sdnctl.Arp_proxy.create tracker;
-               Sdnctl.L2_learning.create ();
-             ]);
-        let h0 = Harmless.Deployment.host d 0 in
-        let h1 = Harmless.Deployment.host d 1 in
-        let h2 = Harmless.Deployment.host d 2 in
-        (* Prime the tracker: h1 talks once, so its location is known. *)
-        Host.ping h1 ~dst_mac:(Harmless.Deployment.host_mac 2)
-          ~dst_ip:(Host.ip h2) ~seq:1;
-        Experiments_lib.Common.run_for engine (Sim_time.ms 50);
-        let h2_frames_before = Host.received_count h2 in
-        (* h0 ARPs for h1: the proxy should answer; h2 must see nothing. *)
-        Host.send h0
-          (Packet.arp_request ~src_mac:(Host.mac h0) ~src_ip:(Host.ip h0)
-             ~target_ip:(Host.ip h1));
-        Experiments_lib.Common.run_for engine (Sim_time.ms 50);
-        check Alcotest.bool "h0 resolved h1" true
-          (List.exists
-             (fun (ip, mac) ->
-               Ipv4_addr.equal ip (Host.ip h1)
-               && Mac_addr.equal mac (Host.mac h1))
-             (Host.arp_cache h0));
-        check Alcotest.int "no flood reached h2" h2_frames_before
-          (Host.received_count h2));
-    tc "unknown targets still flood and get answered by the host" (fun () ->
-        let engine = Engine.create () in
-        let d =
-          match Harmless.Deployment.build_harmless engine ~num_hosts:2 () with
-          | Ok d -> d
-          | Error m -> failwith m
-        in
-        let tracker = Sdnctl.Host_tracker.create () in
-        ignore
-          (Experiments_lib.Common.attach_with_apps d
-             [
-               Sdnctl.Host_tracker.app tracker;
-               Sdnctl.Arp_proxy.create tracker;
-               Sdnctl.L2_learning.create ();
-             ]);
-        let h0 = Harmless.Deployment.host d 0 in
-        (* h1 has never spoken: the proxy knows nothing, flooding works. *)
-        Host.send h0
-          (Packet.arp_request ~src_mac:(Host.mac h0) ~src_ip:(Host.ip h0)
-             ~target_ip:(Harmless.Deployment.host_ip 1));
-        Experiments_lib.Common.run_for engine (Sim_time.ms 50);
-        check Alcotest.bool "resolved the old way" true
-          (List.exists
-             (fun (ip, _) -> Ipv4_addr.equal ip (Harmless.Deployment.host_ip 1))
-             (Host.arp_cache h0)));
-  ]
-
 let suite =
   [
     ("inventory.port_security", security_tests);
     ("inventory.tracker", tracker_tests);
-    ("inventory.arp_proxy", arp_proxy_tests);
   ]

@@ -72,6 +72,12 @@ let breaker_tests =
 
 (* ---- WAL ---- *)
 
+let breach_wal =
+  lazy
+    (match Harmless.Migration_rig.canary_breach ~seed:42 () with
+    | Ok br -> Mgmt.Txn.to_string br.Harmless.Migration_rig.wal
+    | Error e -> failwith e)
+
 let wal_tests =
   [
     tc "round-trips through to_string/of_string" (fun () ->
@@ -137,6 +143,17 @@ let wal_tests =
         match Mgmt.Txn.of_string "txn a 1 begin d\ntxn a 1 committed\n" with
         | Ok _ -> Alcotest.fail "expected parse error"
         | Error e -> check Alcotest.bool "names the line" true (contains e "2"));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:1000
+         ~name:"mutated canary-breach WAL: accepted = canonical"
+         ~print:(fun ms ->
+           String.concat "; " (List.map Test_recorder.print_mutation ms))
+         Test_recorder.mutation_gen
+         (fun ms ->
+           let text = Test_recorder.mutate (Lazy.force breach_wal) ms in
+           match Mgmt.Txn.of_string text with
+           | Error _ -> true
+           | Ok w -> Mgmt.Txn.to_string w = text));
   ]
 
 (* ---- single machine ---- *)

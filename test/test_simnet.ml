@@ -500,6 +500,29 @@ let pcap_tests =
           (String.length rx > 24 && String.length tx > 24));
   ]
 
+(* ---- The probe pair cycle ---- *)
+
+let pair_tests =
+  [
+    prop "pair ~n visits every ordered pair once per period"
+      QCheck2.Gen.(pair (int_range 2 8) (int_bound 10_000))
+      ~print:(fun (n, k) -> Printf.sprintf "n %d k %d" n k)
+      (fun (n, k) ->
+        let period = n * (n - 1) in
+        let cycle = List.init period (Traffic.pair ~n) in
+        let hosts = List.init n Fun.id in
+        let all =
+          List.concat_map
+            (fun s ->
+              List.filter_map
+                (fun d -> if s = d then None else Some (s, d))
+                hosts)
+            hosts
+        in
+        List.sort compare cycle = all
+        && Traffic.pair ~n k = Traffic.pair ~n (k + period));
+  ]
+
 let suite =
   [
     ("simnet.time", time_tests);
@@ -509,6 +532,7 @@ let suite =
     ("simnet.stats", stats_tests);
     ("simnet.link", link_tests);
     ("simnet.host", host_tests);
+    ("simnet.traffic", pair_tests);
     ("simnet.capture", capture_tests);
     ("simnet.pcap", pcap_tests);
   ]
