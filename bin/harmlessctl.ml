@@ -1088,6 +1088,9 @@ let run_migrate switches hosts concurrency blast_radius seed deadline_ms
     | Ok br ->
         let text = Harmless.Migration_rig.render_breach br in
         print_string text;
+        Option.iter
+          (fun p -> Mgmt.Txn.save br.Harmless.Migration_rig.wal ~path:p)
+          wal_path;
         Option.iter (fun p -> write_text_file p text) report_path;
         (match (postmortem_path, br.Harmless.Migration_rig.postmortem) with
         | None, _ -> ()

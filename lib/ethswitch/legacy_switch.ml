@@ -207,10 +207,29 @@ let forward t ~in_port (pkt : Packet.t) =
             egress t ~port:out_port ~vlan ~had_tag inner
       end
 
+(* Per-port counts get their ["rx.<n>"]-style names only here, for a
+   port that has carried a frame that way. *)
+let port_counter_names t =
+  List.concat
+    (List.init (Node.port_count t.node) (fun p ->
+         let c = Node.port_counters t.node ~port:p in
+         let named dir packets bytes =
+           if packets = 0 then []
+           else
+             [
+               (Printf.sprintf "%s.%d" dir p, packets);
+               (Printf.sprintf "%s_bytes.%d" dir p, bytes);
+             ]
+         in
+         named "rx" c.Node.rx_packets c.Node.rx_bytes
+         @ named "tx" c.Node.tx_packets c.Node.tx_bytes))
+
 let publish_metrics ?registry ?(labels = []) t =
   let labels = ("device", t.name) :: labels in
   Telemetry.Registry.publish_ints ?registry ~prefix:"ethswitch" ~labels
-    (Stats.Counter.to_list (Node.counters t.node)
+    (List.sort
+       (fun (a, _) (b, _) -> String.compare a b)
+       (Stats.Counter.to_list (Node.counters t.node) @ port_counter_names t)
     @ [ ("mac_table_entries", Mac_table.entry_count t.mac_table) ])
 
 let create engine ~name ~ports ?(processing_delay = Sim_time.us 4)

@@ -75,10 +75,11 @@ let register_mib t mib =
   Mib.register_scalar mib Oid.Std.if_number ~get:(fun () -> Mib.Int ports) ();
   (* The interface table: one provider covering the whole subtree. *)
   let if_bindings () =
-    let counters = Node.counters (Legacy_switch.node sw) in
+    let node = Legacy_switch.node sw in
     List.concat
       (List.init ports (fun p ->
            let idx = p + 1 in
+           let c = Node.port_counters node ~port:p in
            [
              (Oid.Std.if_descr idx, Mib.Str (D.interface_name p));
              ( Oid.Std.if_oper_status idx,
@@ -86,10 +87,8 @@ let register_mib t mib =
                  (match Legacy_switch.port_mode sw ~port:p with
                  | Port_config.Disabled -> 2
                  | Port_config.Access _ | Port_config.Trunk _ -> 1) );
-             ( Oid.Std.if_in_ucast idx,
-               Mib.Int (Stats.Counter.get counters (Printf.sprintf "rx.%d" p)) );
-             ( Oid.Std.if_out_ucast idx,
-               Mib.Int (Stats.Counter.get counters (Printf.sprintf "tx.%d" p)) );
+             (Oid.Std.if_in_ucast idx, Mib.Int c.Node.rx_packets);
+             (Oid.Std.if_out_ucast idx, Mib.Int c.Node.tx_packets);
            ]))
   in
   Mib.register_subtree mib (Oid.Std.if_table) ~bindings:if_bindings ();

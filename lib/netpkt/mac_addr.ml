@@ -57,6 +57,11 @@ let to_int64 t =
   done;
   !acc
 
+let to_int t =
+  (String.get_uint16_be t 0 lsl 32)
+  lor (String.get_uint16_be t 2 lsl 16)
+  lor String.get_uint16_be t 4
+
 (* 0x02 first octet: locally administered, unicast. *)
 let make_local i =
   let i = i land 0xffffffff in

@@ -17,7 +17,7 @@ type t = {
 
 let create () =
   {
-    queue = Event_queue.create ();
+    queue = Event_queue.create ignore;
     clock = Sim_time.zero;
     executed = 0;
     telemetry = None;
@@ -57,36 +57,39 @@ let schedule_every t ?start period f =
   schedule_after t first tick
 
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-      (match t.telemetry with
-      | Some m when t.executed mod m.sample_every = 0 ->
-          let ts_ns = Sim_time.to_ns time in
-          Telemetry.Timeseries.record m.queue_depth ~ts_ns
-            (float_of_int (Event_queue.length t.queue));
-          Telemetry.Timeseries.record m.sched_lag ~ts_ns
-            (float_of_int (ts_ns - Sim_time.to_ns t.clock))
-      | Some _ | None -> ());
-      t.clock <- time;
-      t.executed <- t.executed + 1;
-      let mark = Alloc_probe.mark () in
-      f ();
-      Alloc_probe.record "engine.dispatch" mark;
-      true
+  if Event_queue.length t.queue = 0 then false
+  else begin
+    let time = Event_queue.top_time t.queue in
+    let f = Event_queue.pop t.queue in
+    (match t.telemetry with
+    | Some m when t.executed mod m.sample_every = 0 ->
+        let ts_ns = Sim_time.to_ns time in
+        Telemetry.Timeseries.record m.queue_depth ~ts_ns
+          (float_of_int (Event_queue.length t.queue));
+        Telemetry.Timeseries.record m.sched_lag ~ts_ns
+          (float_of_int (ts_ns - Sim_time.to_ns t.clock))
+    | Some _ | None -> ());
+    t.clock <- time;
+    t.executed <- t.executed + 1;
+    let mark = Alloc_probe.mark () in
+    f ();
+    Alloc_probe.record "engine.dispatch" mark;
+    true
+  end
 
 let run ?until ?max_events t =
   let budget = ref (match max_events with None -> max_int | Some n -> n) in
   let continue = ref true in
   while !continue && !budget > 0 do
-    match Event_queue.peek_time t.queue with
-    | None -> continue := false
-    | Some next -> (
-        match until with
-        | Some stop when Sim_time.compare next stop > 0 -> continue := false
-        | Some _ | None ->
-            ignore (step t);
-            decr budget)
+    if Event_queue.length t.queue = 0 then continue := false
+    else
+      match until with
+      | Some stop when Sim_time.compare (Event_queue.top_time t.queue) stop > 0
+        ->
+          continue := false
+      | Some _ | None ->
+          ignore (step t);
+          decr budget
   done;
   match until with
   | Some stop when Sim_time.compare t.clock stop < 0 && !budget > 0 ->

@@ -4,9 +4,17 @@ type 'a t = {
   mutable heap : 'a entry array;
   mutable size : int;
   mutable next_seq : int;
+  vacant : 'a entry;  (* fills every slot past [size] *)
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+let create filler =
+  {
+    heap = [||];
+    size = 0;
+    next_seq = 0;
+    vacant = { time = Sim_time.zero; seq = -1; value = filler };
+  }
+
 let length t = t.size
 
 let entry_before a b =
@@ -17,8 +25,7 @@ let entry_before a b =
 let grow t =
   let cap = Array.length t.heap in
   if t.size = cap then begin
-    let dummy = t.heap.(0) in
-    let bigger = Array.make (Stdlib.max 16 (cap * 2)) dummy in
+    let bigger = Array.make (Stdlib.max 16 (cap * 2)) t.vacant in
     Array.blit t.heap 0 bigger 0 cap;
     t.heap <- bigger
   end
@@ -51,25 +58,23 @@ let rec sift_down t i =
 let push t time value =
   let e = { time; seq = t.next_seq; value } in
   t.next_seq <- t.next_seq + 1;
-  if Array.length t.heap = 0 then t.heap <- Array.make 16 e;
   grow t;
   t.heap.(t.size) <- e;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
-    Some (top.time, top.value)
-  end
+let top_time t =
+  if t.size = 0 then invalid_arg "Event_queue.top_time: empty queue";
+  t.heap.(0).time
 
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
+let pop t =
+  if t.size = 0 then invalid_arg "Event_queue.pop: empty queue";
+  let top = t.heap.(0) in
+  t.size <- t.size - 1;
+  t.heap.(0) <- t.heap.(t.size);
+  t.heap.(t.size) <- t.vacant;
+  if t.size > 0 then sift_down t 0;
+  top.value
 
 let clear t =
   t.size <- 0;

@@ -5,11 +5,20 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : 'a -> 'a t
+(** [create filler] is an empty queue.  [filler] takes the place of each
+    popped value in the heap, so the queue keeps no popped value
+    reachable. *)
+
 val length : 'a t -> int
 val push : 'a t -> Sim_time.t -> 'a -> unit
-val pop : 'a t -> (Sim_time.t * 'a) option
-(** Earliest event, or [None] when empty. *)
 
-val peek_time : 'a t -> Sim_time.t option
+val top_time : 'a t -> Sim_time.t
+(** Time of the earliest event.
+    @raise Invalid_argument when the queue is empty. *)
+
+val pop : 'a t -> 'a
+(** Remove the earliest event and return its value.
+    @raise Invalid_argument when the queue is empty. *)
+
 val clear : 'a t -> unit

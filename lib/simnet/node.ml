@@ -7,6 +7,11 @@ type t = {
   mutable carrier_ok : bool array;
   mutable handler : handler;
   counters : Stats.Counter.t;
+  (* Per-port packet and byte counts, indexed by port. *)
+  mutable rx_packets : int array;
+  mutable tx_packets : int array;
+  mutable rx_bytes : int array;
+  mutable tx_bytes : int array;
   mutable taps : (direction -> int -> Netpkt.Packet.t -> unit) list;
   mutable attachment_watchers : (port:int -> up:bool -> unit) list;
 }
@@ -24,6 +29,10 @@ let create engine ~name ~ports =
     carrier_ok = Array.make ports true;
     handler = no_op_handler;
     counters = Stats.Counter.create ();
+    rx_packets = Array.make ports 0;
+    tx_packets = Array.make ports 0;
+    rx_bytes = Array.make ports 0;
+    tx_bytes = Array.make ports 0;
     taps = [];
     attachment_watchers = [];
   }
@@ -37,6 +46,11 @@ let add_ports t n =
   let first = Array.length t.tx_fns in
   t.tx_fns <- Array.append t.tx_fns (Array.make n None);
   t.carrier_ok <- Array.append t.carrier_ok (Array.make n true);
+  let widen a = Array.append a (Array.make n 0) in
+  t.rx_packets <- widen t.rx_packets;
+  t.tx_packets <- widen t.tx_packets;
+  t.rx_bytes <- widen t.rx_bytes;
+  t.tx_bytes <- widen t.tx_bytes;
   first
 
 let set_handler t h = t.handler <- h
@@ -45,7 +59,12 @@ let check_port t port =
   if port < 0 || port >= Array.length t.tx_fns then
     invalid_arg (Printf.sprintf "Node %s: bad port %d" t.name port)
 
-let run_taps t dir port pkt = List.iter (fun tap -> tap dir port pkt) t.taps
+let rec run_taps taps dir port pkt =
+  match taps with
+  | [] -> ()
+  | tap :: rest ->
+      tap dir port pkt;
+      run_taps rest dir port pkt
 
 let transmit t ~port pkt =
   check_port t port;
@@ -55,21 +74,17 @@ let transmit t ~port pkt =
       Stats.Counter.incr t.counters "tx_drop_no_carrier"
   | Some send ->
       Stats.Counter.incr t.counters "tx";
-      Stats.Counter.incr t.counters (Printf.sprintf "tx.%d" port);
-      Stats.Counter.incr t.counters
-        ~by:(Netpkt.Packet.wire_size pkt)
-        (Printf.sprintf "tx_bytes.%d" port);
-      run_taps t Tx port pkt;
+      t.tx_packets.(port) <- t.tx_packets.(port) + 1;
+      t.tx_bytes.(port) <- t.tx_bytes.(port) + Netpkt.Packet.wire_size pkt;
+      run_taps t.taps Tx port pkt;
       send pkt
 
 let deliver t ~port pkt =
   check_port t port;
   Stats.Counter.incr t.counters "rx";
-  Stats.Counter.incr t.counters (Printf.sprintf "rx.%d" port);
-  Stats.Counter.incr t.counters
-    ~by:(Netpkt.Packet.wire_size pkt)
-    (Printf.sprintf "rx_bytes.%d" port);
-  run_taps t Rx port pkt;
+  t.rx_packets.(port) <- t.rx_packets.(port) + 1;
+  t.rx_bytes.(port) <- t.rx_bytes.(port) + Netpkt.Packet.wire_size pkt;
+  run_taps t.taps Rx port pkt;
   t.handler t ~in_port:port pkt
 
 let notify_attachment t port up =
@@ -109,6 +124,23 @@ let carrier t ~port =
   Option.is_some t.tx_fns.(port) && t.carrier_ok.(port)
 
 let counters t = t.counters
+
+type port_counters = {
+  rx_packets : int;
+  tx_packets : int;
+  rx_bytes : int;
+  tx_bytes : int;
+}
+
+let port_counters t ~port =
+  check_port t port;
+  {
+    rx_packets = t.rx_packets.(port);
+    tx_packets = t.tx_packets.(port);
+    rx_bytes = t.rx_bytes.(port);
+    tx_bytes = t.tx_bytes.(port);
+  }
+
 let add_tap t tap = t.taps <- t.taps @ [ tap ]
 
 let on_attachment_change t f =

@@ -51,9 +51,22 @@ val carrier : t -> port:int -> bool
 (** [attached] and carrier up. *)
 
 val counters : t -> Stats.Counter.t
-(** Per-node counters; ["rx"], ["tx"], per-port ["rx.<n>"], ["tx.<n>"],
-    per-port byte totals ["rx_bytes.<n>"], ["tx_bytes.<n>"] (wire
-    sizes — what OpenFlow port stats report), and drop reasons. *)
+(** Per-node named counters: the totals ["rx"] and ["tx"], and drop
+    reasons.  Per-port counts are not named here; see
+    {!port_counters}. *)
+
+type port_counters = {
+  rx_packets : int;
+  tx_packets : int;
+  rx_bytes : int;  (** wire sizes — what OpenFlow port stats report *)
+  tx_bytes : int;
+}
+
+val port_counters : t -> port:int -> port_counters
+(** Frames delivered to and sent out of [port], and their bytes, kept
+    in per-port int arrays so counting a frame formats and hashes no
+    name.  Frames dropped on transmit are not counted here.
+    @raise Invalid_argument on a bad port number. *)
 
 type direction = Rx | Tx
 

@@ -4,9 +4,9 @@ module Counter = struct
   let create () : t = Hashtbl.create 16
 
   let incr ?(by = 1) t name =
-    match Hashtbl.find_opt t name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.replace t name (ref by)
+    match Hashtbl.find t name with
+    | r -> r := !r + by
+    | exception Not_found -> Hashtbl.replace t name (ref by)
 
   let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 

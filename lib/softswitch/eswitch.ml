@@ -1,187 +1,177 @@
 open Netpkt
 open Openflow
 
-(* A template: the set of fields a group of entries all test exactly. *)
-type tsig = {
-  t_in_port : bool;
-  t_eth_dst : bool;
-  t_eth_src : bool;
-  t_eth_type : bool;
-  t_vlan_vid : bool;
-  t_vlan_pcp : bool;
-  t_ip_src : bool;
-  t_ip_dst : bool;
-  t_ip_proto : bool;
-  t_ip_tos : bool;
-  t_l4_src : bool;
-  t_l4_dst : bool;
+(* The value of a field the packet does not carry (no VLAN tag, not IP,
+   no L4 ports).  No rule stores it: rule values are wire fields, MACs
+   are 48-bit and IPv4 addresses are read unsigned. *)
+let absent = min_int
+let opt = function Some v -> v | None -> absent
+let ip_value ip = Int32.to_int (Ipv4_addr.to_int32 ip) land 0xffff_ffff
+let ip_opt = function Some ip -> ip_value ip | None -> absent
+
+(* The packet's value of field [id].  Ids number the twelve fields a
+   template can test exactly; a template hashes and confirms its fields
+   in id order. *)
+let field_value id ~in_port (f : Packet.Fields.t) =
+  match id with
+  | 0 -> in_port
+  | 1 -> Mac_addr.to_int f.Packet.Fields.eth_dst
+  | 2 -> Mac_addr.to_int f.Packet.Fields.eth_src
+  | 3 -> f.Packet.Fields.eth_type
+  | 4 -> opt f.Packet.Fields.vlan_vid
+  | 5 -> opt f.Packet.Fields.vlan_pcp
+  | 6 -> ip_opt f.Packet.Fields.ip_src
+  | 7 -> ip_opt f.Packet.Fields.ip_dst
+  | 8 -> opt f.Packet.Fields.ip_proto
+  | 9 -> opt f.Packet.Fields.ip_tos
+  | 10 -> opt f.Packet.Fields.l4_src
+  | _ -> opt f.Packet.Fields.l4_dst
+
+(* A rule's exact tests as (field id, value) pairs in id order, or None
+   if some test is a prefix, a mask or a presence test (the residual
+   path). *)
+let exact_tests (m : Of_match.t) =
+  let exact = ref true in
+  let tests = ref [] in
+  let add id v = tests := (id, v) :: !tests in
+  let int id = Option.iter (add id) in
+  let mac id = function
+    | None -> ()
+    | Some mt ->
+        if Mac_addr.equal mt.Of_match.mask Mac_addr.broadcast then
+          add id (Mac_addr.to_int mt.Of_match.value)
+        else exact := false
+  in
+  let ip id = function
+    | None -> ()
+    | Some p ->
+        if Ipv4_addr.Prefix.length p = 32 then
+          add id (ip_value (Ipv4_addr.Prefix.base p))
+        else exact := false
+  in
+  int 0 m.Of_match.in_port;
+  mac 1 m.Of_match.eth_dst;
+  mac 2 m.Of_match.eth_src;
+  int 3 m.Of_match.eth_type;
+  (match m.Of_match.vlan with
+  | None -> ()
+  | Some (Of_match.Vid v) -> add 4 v
+  | Some (Of_match.Absent | Of_match.Present) -> exact := false);
+  int 5 m.Of_match.vlan_pcp;
+  ip 6 m.Of_match.ip_src;
+  ip 7 m.Of_match.ip_dst;
+  int 8 m.Of_match.ip_proto;
+  int 9 m.Of_match.ip_tos;
+  int 10 m.Of_match.l4_src;
+  int 11 m.Of_match.l4_dst;
+  if !exact then Some (List.rev !tests) else None
+
+let mix h v = (h * 31) + v
+let key_hash key = Array.fold_left mix 0 key
+let bucket_of h buckets = (h lxor (h lsr 17)) land (Array.length buckets - 1)
+
+(* A template hit or a residual candidate.  [order] is the entry's
+   position in the table (best first); [hit] is the lookup's answer,
+   built once here so a probe allocates nothing. *)
+type slot = {
+  key : int array;  (* template slots: the tested values, in field order *)
+  match_ : Of_match.t;  (* residual slots: the match to test *)
+  order : int;
+  hit : Flow_entry.t option;
 }
 
-(* The projected key for a template: absent components are normalized so
-   equal projections hash equally. *)
-type key = {
-  k_in_port : int;
-  k_eth_dst : Mac_addr.t;
-  k_eth_src : Mac_addr.t;
-  k_eth_type : int;
-  k_vlan_vid : int;
-  k_vlan_pcp : int;
-  k_ip_src : int32;
-  k_ip_dst : int32;
-  k_ip_proto : int;
-  k_ip_tos : int;
-  k_l4_src : int;
-  k_l4_dst : int;
-}
+let no_slot = { key = [||]; match_ = Of_match.any; order = max_int; hit = None }
 
-let full_mac_mask m = Mac_addr.equal m.Of_match.mask Mac_addr.broadcast
-
-(* Classify a match: Some (sig, key) if every test is an exact full-field
-   test, None if it needs the residual scan path. *)
-let exact_signature (m : Of_match.t) =
-  let ok = ref true in
-  let t_eth_dst, k_eth_dst =
-    match m.Of_match.eth_dst with
-    | None -> (false, Mac_addr.zero)
-    | Some mt ->
-        if full_mac_mask mt then (true, mt.Of_match.value)
-        else begin ok := false; (false, Mac_addr.zero) end
-  in
-  let t_eth_src, k_eth_src =
-    match m.Of_match.eth_src with
-    | None -> (false, Mac_addr.zero)
-    | Some mt ->
-        if full_mac_mask mt then (true, mt.Of_match.value)
-        else begin ok := false; (false, Mac_addr.zero) end
-  in
-  let t_vlan_vid, k_vlan_vid =
-    match m.Of_match.vlan with
-    | None -> (false, -1)
-    | Some (Of_match.Vid v) -> (true, v)
-    | Some (Of_match.Absent | Of_match.Present) ->
-        ok := false;
-        (false, -1)
-  in
-  let prefix_exact p =
-    if Ipv4_addr.Prefix.length p = 32 then
-      Some (Ipv4_addr.to_int32 (Ipv4_addr.Prefix.base p))
-    else begin ok := false; None end
-  in
-  let t_ip_src, k_ip_src =
-    match Option.map prefix_exact m.Of_match.ip_src with
-    | None -> (false, 0l)
-    | Some (Some ip) -> (true, ip)
-    | Some None -> (false, 0l)
-  in
-  let t_ip_dst, k_ip_dst =
-    match Option.map prefix_exact m.Of_match.ip_dst with
-    | None -> (false, 0l)
-    | Some (Some ip) -> (true, ip)
-    | Some None -> (false, 0l)
-  in
-  let opt_int o = match o with None -> (false, -1) | Some v -> (true, v) in
-  let t_in_port, k_in_port = opt_int m.Of_match.in_port in
-  let t_eth_type, k_eth_type = opt_int m.Of_match.eth_type in
-  let t_vlan_pcp, k_vlan_pcp = opt_int m.Of_match.vlan_pcp in
-  let t_ip_proto, k_ip_proto = opt_int m.Of_match.ip_proto in
-  let t_ip_tos, k_ip_tos = opt_int m.Of_match.ip_tos in
-  let t_l4_src, k_l4_src = opt_int m.Of_match.l4_src in
-  let t_l4_dst, k_l4_dst = opt_int m.Of_match.l4_dst in
-  if not !ok then None
-  else
-    Some
-      ( {
-          t_in_port;
-          t_eth_dst;
-          t_eth_src;
-          t_eth_type;
-          t_vlan_vid;
-          t_vlan_pcp;
-          t_ip_src;
-          t_ip_dst;
-          t_ip_proto;
-          t_ip_tos;
-          t_l4_src;
-          t_l4_dst;
-        },
-        {
-          k_in_port;
-          k_eth_dst;
-          k_eth_src;
-          k_eth_type;
-          k_vlan_vid;
-          k_vlan_pcp;
-          k_ip_src;
-          k_ip_dst;
-          k_ip_proto;
-          k_ip_tos;
-          k_l4_src;
-          k_l4_dst;
-        } )
-
-(* Project a packet's fields onto a template's tested set. *)
-let project (sig_ : tsig) ~in_port (f : Packet.Fields.t) =
-  let or_else default = function Some v -> v | None -> default in
-  {
-    k_in_port = (if sig_.t_in_port then in_port else -1);
-    k_eth_dst = (if sig_.t_eth_dst then f.Packet.Fields.eth_dst else Mac_addr.zero);
-    k_eth_src = (if sig_.t_eth_src then f.Packet.Fields.eth_src else Mac_addr.zero);
-    k_eth_type = (if sig_.t_eth_type then f.Packet.Fields.eth_type else -1);
-    k_vlan_vid = (if sig_.t_vlan_vid then or_else (-2) f.Packet.Fields.vlan_vid else -1);
-    k_vlan_pcp = (if sig_.t_vlan_pcp then or_else (-2) f.Packet.Fields.vlan_pcp else -1);
-    k_ip_src =
-      (if sig_.t_ip_src then
-         match f.Packet.Fields.ip_src with
-         | Some ip -> Ipv4_addr.to_int32 ip
-         | None -> -1l
-       else 0l);
-    k_ip_dst =
-      (if sig_.t_ip_dst then
-         match f.Packet.Fields.ip_dst with
-         | Some ip -> Ipv4_addr.to_int32 ip
-         | None -> -1l
-       else 0l);
-    k_ip_proto = (if sig_.t_ip_proto then or_else (-2) f.Packet.Fields.ip_proto else -1);
-    k_ip_tos = (if sig_.t_ip_tos then or_else (-2) f.Packet.Fields.ip_tos else -1);
-    k_l4_src = (if sig_.t_l4_src then or_else (-2) f.Packet.Fields.l4_src else -1);
-    k_l4_dst = (if sig_.t_l4_dst then or_else (-2) f.Packet.Fields.l4_dst else -1);
-  }
-
-(* A projected key can collide with a rule key through the [-2]
-   "field absent in packet" sentinels only if some rule legitimately
-   stores -2, which opt_int never produces; so probe hits are exact. *)
-
-type template = { sig_ : tsig; index : (key, int * Flow_entry.t) Hashtbl.t }
+(* A template: the field ids a group of entries all test exactly, and
+   their slots hashed into a power-of-two bucket array. *)
+type template = { fields : int array; buckets : slot list array }
 
 type compiled_table = {
-  templates : template list;
-  residual : (int * Flow_entry.t) list; (* table order: best-first *)
+  templates : template array;
+  residual : slot array;  (* table order: best first *)
 }
 
+let rec confirm key fields i ~in_port f =
+  i = Array.length fields
+  || key.(i) = field_value fields.(i) ~in_port f
+     && confirm key fields (i + 1) ~in_port f
+
+let rec first_confirmed fields ~in_port f = function
+  | [] -> no_slot
+  | s :: rest ->
+      if confirm s.key fields 0 ~in_port f then s
+      else first_confirmed fields ~in_port f rest
+
+let probe tpl ~in_port f =
+  let h = ref 0 in
+  for i = 0 to Array.length tpl.fields - 1 do
+    h := mix !h (field_value tpl.fields.(i) ~in_port f)
+  done;
+  first_confirmed tpl.fields ~in_port f
+    tpl.buckets.(bucket_of !h tpl.buckets)
+
+(* The best residual candidate that beats [best]; the residual is in
+   table order, so the scan stops at the first entry that cannot. *)
+let rec scan_residual residual i best ~in_port f =
+  if i = Array.length residual then best
+  else
+    let s = residual.(i) in
+    if s.order >= best.order then best
+    else if Of_match.matches s.match_ ~in_port f then s
+    else scan_residual residual (i + 1) best ~in_port f
+
+let rec pow2_at_least n p = if p >= n then p else pow2_at_least n (2 * p)
+
+(* A template's slots hold distinct values, so at most one confirms a
+   packet and the order inside a bucket does not matter. *)
+let make_template fields slots =
+  let buckets = Array.make (pow2_at_least (List.length slots) 1) [] in
+  List.iter
+    (fun s ->
+      let b = bucket_of (key_hash s.key) buckets in
+      buckets.(b) <- s :: buckets.(b))
+    slots;
+  { fields; buckets }
+
 let compile_table table =
-  let templates : (tsig, template) Hashtbl.t = Hashtbl.create 8 in
+  (* field ids -> (tested values -> the best slot with them) *)
+  let groups : (int list, (int list, slot) Hashtbl.t) Hashtbl.t =
+    Hashtbl.create 8
+  in
   let residual = ref [] in
   List.iteri
     (fun order entry ->
-      match exact_signature entry.Flow_entry.match_ with
-      | None -> residual := (order, entry) :: !residual
-      | Some (sig_, key) ->
-          let template =
-            match Hashtbl.find_opt templates sig_ with
-            | Some template -> template
+      let hit = Some entry in
+      match exact_tests entry.Flow_entry.match_ with
+      | None ->
+          residual :=
+            { key = [||]; match_ = entry.Flow_entry.match_; order; hit }
+            :: !residual
+      | Some tests ->
+          let ids = List.map fst tests and values = List.map snd tests in
+          let group =
+            match Hashtbl.find_opt groups ids with
+            | Some g -> g
             | None ->
-                let template = { sig_; index = Hashtbl.create 64 } in
-                Hashtbl.replace templates sig_ template;
-                template
+                let g = Hashtbl.create 64 in
+                Hashtbl.replace groups ids g;
+                g
           in
-          (* Keep the best (earliest in table order) entry per key. *)
-          (match Hashtbl.find_opt template.index key with
-          | Some (existing, _) when existing < order -> ()
-          | Some _ | None -> Hashtbl.replace template.index key (order, entry)))
+          (* Entries come best first: an equal key later is shadowed. *)
+          if not (Hashtbl.mem group values) then
+            Hashtbl.replace group values
+              { key = Array.of_list values; match_ = Of_match.any; order; hit })
     (Flow_table.entries table);
+  let templates =
+    Hashtbl.fold
+      (fun ids group acc ->
+        let slots = Hashtbl.fold (fun _ s acc -> s :: acc) group [] in
+        make_template (Array.of_list ids) slots :: acc)
+      groups []
+  in
   {
-    templates = Hashtbl.fold (fun _ template acc -> template :: acc) templates [];
-    residual = List.rev !residual;
+    templates = Array.of_list templates;
+    residual = Array.of_list (List.rev !residual);
   }
 
 let create pipeline =
@@ -195,30 +185,20 @@ let create pipeline =
           compile_table (Pipeline.table pipeline i));
     incr recompiles
   in
+  (* Every template is probed and every residual entry counts as
+     scanned, whatever matched: the simulated cycle cost charges both. *)
   let probes = ref 0 in
   let residual_scans = ref 0 in
   let lookup table_id ~in_port fields =
     let ct = !compiled.(table_id) in
-    let best = ref None in
-    let consider order entry =
-      match !best with
-      | Some (existing, _) when existing <= order -> ()
-      | Some _ | None -> best := Some (order, entry)
-    in
-    List.iter
-      (fun template ->
-        incr probes;
-        match Hashtbl.find_opt template.index (project template.sig_ ~in_port fields) with
-        | Some (order, entry) -> consider order entry
-        | None -> ())
-      ct.templates;
-    List.iter
-      (fun (order, entry) ->
-        incr residual_scans;
-        if Of_match.matches entry.Flow_entry.match_ ~in_port fields then
-          consider order entry)
-      ct.residual;
-    Option.map snd !best
+    probes := !probes + Array.length ct.templates;
+    residual_scans := !residual_scans + Array.length ct.residual;
+    let best = ref no_slot in
+    for i = 0 to Array.length ct.templates - 1 do
+      let s = probe ct.templates.(i) ~in_port fields in
+      if s.order < !best.order then best := s
+    done;
+    (scan_residual ct.residual 0 !best ~in_port fields).hit
   in
   let process ~now_ns ~in_port pkt =
     let m = Alloc_probe.mark () in
@@ -243,7 +223,7 @@ let create pipeline =
   let stats () =
     let template_count =
       Array.fold_left
-        (fun acc ct -> acc + List.length ct.templates)
+        (fun acc ct -> acc + Array.length ct.templates)
         0 !compiled
     in
     [

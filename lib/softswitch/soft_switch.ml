@@ -357,14 +357,14 @@ let flow_stats t table_filter =
     tables
 
 let port_stats t =
-  let counters = Node.counters t.node in
   List.init (Node.port_count t.node) (fun p ->
+      let c = Node.port_counters t.node ~port:p in
       {
         Of_message.port_no = p;
-        rx_packets = Stats.Counter.get counters (Printf.sprintf "rx.%d" p);
-        tx_packets = Stats.Counter.get counters (Printf.sprintf "tx.%d" p);
-        rx_bytes = Stats.Counter.get counters (Printf.sprintf "rx_bytes.%d" p);
-        tx_bytes = Stats.Counter.get counters (Printf.sprintf "tx_bytes.%d" p);
+        rx_packets = c.Node.rx_packets;
+        tx_packets = c.Node.tx_packets;
+        rx_bytes = c.Node.rx_bytes;
+        tx_bytes = c.Node.tx_bytes;
       })
 
 let handle_message t msg =

@@ -561,9 +561,101 @@ let bench_gate_tests =
                 (Bench_history.diff ~baseline ~current:baseline ()))));
   ]
 
+(* ---- the frame path: counting, classification and dispatch ---- *)
+
+(* Minor words per call of [f], over 1,000 warm calls. *)
+let words_per_call f =
+  for _ = 1 to 100 do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. 1_000.
+
+(* The fabric-64b SS_2 table: one exact eth_dst rule per host and an
+   ARP flood rule, as [Experiments_lib.Common.proactive_l2] installs. *)
+let fabric_l2_pipeline () =
+  let open Openflow in
+  let p = Pipeline.create () in
+  for i = 0 to 7 do
+    Flow_table.add (Pipeline.table p 0) ~now_ns:0
+      (Flow_entry.make ~priority:1000
+         ~match_:Of_match.(any |> eth_dst (Harmless.Deployment.host_mac i))
+         [ Flow_entry.Apply_actions [ Of_action.output i ] ])
+  done;
+  Flow_table.add (Pipeline.table p 0) ~now_ns:0
+    (Flow_entry.make ~priority:900
+       ~match_:Of_match.(any |> eth_type 0x0806)
+       [ Flow_entry.Apply_actions [ Of_action.Output Of_action.Flood ] ]);
+  p
+
+let frame_path_tests =
+  [
+    tc "counting a frame in Node.transmit and Node.deliver allocates 0 words"
+      (fun () ->
+        let engine = Simnet.Engine.create () in
+        let node = Simnet.Node.create engine ~name:"memtel" ~ports:4 in
+        Simnet.Node.attach node ~port:2 ignore;
+        let per_call =
+          words_per_call (fun () ->
+              Simnet.Node.transmit node ~port:2 test_pkt;
+              Simnet.Node.deliver node ~port:1 test_pkt)
+        in
+        check (Alcotest.float 0.) "words per transmit + deliver" 0. per_call;
+        let c = Simnet.Node.port_counters node ~port:2 in
+        check Alcotest.int "tx counted" 1_100 c.Simnet.Node.tx_packets);
+    tc "a warm ESwitch lookup costs the pipeline skeleton + at most 16 words"
+      (fun () ->
+        let open Openflow in
+        let pkt =
+          Netpkt.Packet.udp
+            ~dst:(Harmless.Deployment.host_mac 5)
+            ~src:(Harmless.Deployment.host_mac 1)
+            ~ip_src:(Harmless.Deployment.host_ip 1)
+            ~ip_dst:(Harmless.Deployment.host_ip 5)
+            ~src_port:10000 ~dst_port:9 (String.make 18 'x')
+        in
+        let dp = Softswitch.Eswitch.create (fabric_l2_pipeline ()) in
+        let eswitch =
+          words_per_call (fun () ->
+              ignore (dp.Softswitch.Dataplane.process ~now_ns:0 ~in_port:0 pkt))
+        in
+        let p = fabric_l2_pipeline () in
+        let to_host5 = Of_match.(any |> eth_dst (Harmless.Deployment.host_mac 5)) in
+        let hit =
+          Some
+            (List.find
+               (fun e -> Of_match.equal e.Flow_entry.match_ to_host5)
+               (Flow_table.entries (Pipeline.table p 0)))
+        in
+        let lookup _ ~in_port:_ _ = hit in
+        let skeleton =
+          words_per_call (fun () ->
+              ignore (Pipeline.execute_with p ~lookup ~now_ns:0 ~in_port:0 pkt))
+        in
+        if eswitch > skeleton +. 16. then
+          Alcotest.failf "eswitch %.1f words per lookup, skeleton %.1f" eswitch
+            skeleton);
+    tc "Engine.step adds no words beyond the event's own work" (fun () ->
+        let engine = Simnet.Engine.create () in
+        let ran = ref 0 in
+        let event () = incr ran in
+        for i = 1 to 1_100 do
+          Simnet.Engine.schedule_after engine i event
+        done;
+        let per_call =
+          words_per_call (fun () -> ignore (Simnet.Engine.step engine))
+        in
+        check (Alcotest.float 0.) "words per step" 0. per_call;
+        check Alcotest.int "every event ran" 1_100 !ran);
+  ]
+
 let suite =
   [
     ("memtel_zero_alloc", zero_alloc_tests);
+    ("memtel_frame_path", frame_path_tests);
     ("memtel_allocprof", allocprof_tests);
     ("memtel_trace_hop", trace_hop_tests);
     ("memtel_gcstats", gcstats_tests);

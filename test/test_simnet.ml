@@ -34,45 +34,58 @@ let time_tests =
 let eq_tests =
   [
     tc "pops in time order" (fun () ->
-        let q = Event_queue.create () in
+        let q = Event_queue.create 0 in
         List.iter
           (fun t -> Event_queue.push q (Sim_time.of_ns t) t)
           [ 50; 10; 30; 20; 40 ];
         let order = ref [] in
-        let rec drain () =
-          match Event_queue.pop q with
-          | Some (_, v) ->
-              order := v :: !order;
-              drain ()
-          | None -> ()
-        in
-        drain ();
+        while Event_queue.length q > 0 do
+          order := Event_queue.pop q :: !order
+        done;
         check Alcotest.(list int) "sorted" [ 10; 20; 30; 40; 50 ] (List.rev !order));
     tc "fifo among equal timestamps" (fun () ->
-        let q = Event_queue.create () in
+        let q = Event_queue.create 0 in
         List.iter (fun v -> Event_queue.push q (Sim_time.of_ns 7) v) [ 1; 2; 3; 4 ];
-        let out = List.init 4 (fun _ ->
-            match Event_queue.pop q with Some (_, v) -> v | None -> -1) in
+        let out = List.init 4 (fun _ -> Event_queue.pop q) in
         check Alcotest.(list int) "fifo" [ 1; 2; 3; 4 ] out);
     prop "qcheck: always non-decreasing pop order"
       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 200)
          (QCheck2.Gen.int_bound 10_000))
       ~print:(fun l -> String.concat "," (List.map string_of_int l))
       (fun times ->
-        let q = Event_queue.create () in
+        let q = Event_queue.create 0 in
         List.iter (fun t -> Event_queue.push q (Sim_time.of_ns t) t) times;
         let rec drain last =
-          match Event_queue.pop q with
-          | None -> true
-          | Some (t, _) -> Sim_time.to_ns t >= last && drain (Sim_time.to_ns t)
+          Event_queue.length q = 0
+          ||
+          let t = Sim_time.to_ns (Event_queue.top_time q) in
+          t >= last && Event_queue.pop q = t && drain t
         in
         drain 0);
   ]
 
 (* ---- Engine ---- *)
 
+(* Schedule an event whose closure holds a fresh block, and watch the
+   closure through a weak pointer. *)
+let[@inline never] schedule_watched e w =
+  let payload = Bytes.make 64 'x' in
+  let f () = ignore (Sys.opaque_identity payload) in
+  Weak.set w 0 (Some f);
+  Engine.schedule_after e 10 f
+
 let engine_tests =
   [
+    tc "a run event's closure is not kept reachable" (fun () ->
+        let e = Engine.create () in
+        let w = Weak.create 1 in
+        Engine.schedule_after e 5 ignore;
+        schedule_watched e w;
+        Engine.run e;
+        Gc.full_major ();
+        check Alcotest.bool "closure collected" false (Weak.check w 0);
+        (* The engine itself stays live through the collection. *)
+        check Alcotest.int "drained" 0 (Engine.pending e));
     tc "clock advances to event times" (fun () ->
         let e = Engine.create () in
         let seen = ref [] in

@@ -244,6 +244,59 @@ let pmd_tests =
 
 let agent_tests =
   [
+    tc "port stats equal what a tap on the node counts" (fun () ->
+        let engine = Engine.create () in
+        let sw = Soft_switch.create engine ~name:"s" ~ports:3 () in
+        let hosts =
+          Array.init 3 (fun i ->
+              let h =
+                Host.create engine ~name:(Printf.sprintf "h%d" i) ~mac:(mac (i + 1))
+                  ~ip:(Ipv4_addr.of_octets 10 0 0 (i + 1)) ()
+              in
+              ignore (Link.connect (Host.node h, 0) (Soft_switch.node sw, i));
+              h)
+        in
+        (* Flood everything: every frame in on one port goes out the others. *)
+        Soft_switch.handle_message sw
+          (Of_message.Flow_mod
+             (Of_message.add_flow ~match_:Of_match.any
+                [ Flow_entry.Apply_actions [ Of_action.Output Of_action.Flood ] ]));
+        let tapped = Array.make_matrix 3 4 0 in
+        Node.add_tap (Soft_switch.node sw) (fun dir port pkt ->
+            let base = match dir with Node.Rx -> 0 | Node.Tx -> 2 in
+            tapped.(port).(base) <- tapped.(port).(base) + 1;
+            tapped.(port).(base + 1) <-
+              tapped.(port).(base + 1) + Packet.wire_size pkt);
+        Array.iteri
+          (fun i h ->
+            for k = 1 to 3 + i do
+              Host.send h
+                (Packet.udp ~dst:(mac 9) ~src:(Host.mac h) ~ip_src:(Host.ip h)
+                   ~ip_dst:(ip "10.0.0.9") ~src_port:k ~dst_port:9
+                   (String.make (100 * k) 'x'))
+            done)
+          hosts;
+        Engine.run engine;
+        let reply = ref [] in
+        Soft_switch.set_controller sw (function
+          | Of_message.Port_stats_reply stats -> reply := stats
+          | _ -> ());
+        Soft_switch.handle_message sw Of_message.Port_stats_request;
+        check Alcotest.int "a row per port" 3 (List.length !reply);
+        List.iter
+          (fun (st : Of_message.port_stat) ->
+            let t = tapped.(st.Of_message.port_no) in
+            check Alcotest.(list int)
+              (Printf.sprintf "port %d rx/tx packets and bytes" st.Of_message.port_no)
+              [ t.(0); t.(1); t.(2); t.(3) ]
+              [
+                st.Of_message.rx_packets;
+                st.Of_message.rx_bytes;
+                st.Of_message.tx_packets;
+                st.Of_message.tx_bytes;
+              ];
+            check Alcotest.bool "traffic both ways" true (t.(0) > 0 && t.(2) > 0))
+          !reply);
     tc "patch port delivers same-instant" (fun () ->
         let engine = Engine.create () in
         let a = Node.create engine ~name:"a" ~ports:1 in
@@ -448,10 +501,134 @@ let random_equivalence_tests =
              (List.mapi (fun i pkt -> (i, pkt)) packets)));
   ]
 
+(* ---- ESwitch against the ESwitch it replaced (Ref_eswitch) ---- *)
+
+module Diff = Check.Differential
+
+(* One random pipeline, installed identically into four pipelines (each
+   backend ages its own counters and meters), then a packet stream: the
+   new ESwitch must give the reference ESwitch's (result, cycles), and
+   the same normalized result — matched entries and outputs — as Linear
+   and the oracle. *)
+let eswitch_against_reference seed =
+  let rng = Rng.create seed in
+  let tables = 1 + Rng.int rng 3 and ports = 2 + Rng.int rng 4 in
+  let msgs =
+    List.init (2 + Rng.int rng 3) (fun _ ->
+        Of_message.Group_mod (Diff.gen_group_mod rng ~ports))
+    @ List.init (5 + Rng.int rng 40) (fun _ ->
+          Of_message.Flow_mod
+            (Diff.gen_flow_mod rng ~tables ~ports ~force_add:true))
+  in
+  let mk () =
+    let p = Pipeline.create ~num_tables:tables () in
+    List.iter (Diff.apply_message p ~now_ns:0) msgs;
+    p
+  in
+  let eswitch = Eswitch.create (mk ()) and reference = Ref_eswitch.create (mk ()) in
+  let linear = Linear.create (mk ()) and oracle = mk () in
+  let rec go i =
+    i = 60
+    ||
+    let pkt = Diff.gen_packet rng and in_port = Rng.int rng ports in
+    let now_ns = 1_000 * (i + 1) in
+    let run (dp : Dataplane.t) = dp.Dataplane.process ~now_ns ~in_port pkt in
+    let got, cycles = run eswitch and want, want_cycles = run reference in
+    let lin = Diff.render_result (fst (run linear)) in
+    let ora = Diff.render_result (Check.Oracle.execute oracle ~now_ns ~in_port pkt) in
+    let got = Diff.render_result got and want = Diff.render_result want in
+    if got = want && cycles = want_cycles && got = lin && got = ora then go (i + 1)
+    else
+      QCheck2.Test.fail_reportf
+        "seed %d packet %d (in_port %d):@.eswitch %d cycles: %s@.reference %d \
+         cycles: %s@.linear: %s@.oracle: %s"
+        seed i in_port cycles got want_cycles want lin ora
+  in
+  go 0
+
+let eswitch_reference_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"eswitch = reference eswitch = linear = oracle on random tables"
+         ~count:200 ~print:string_of_int
+         QCheck2.Gen.(int_bound 1_000_000)
+         eswitch_against_reference);
+    tc "keys that hash alike in one template are told apart" (fun () ->
+        (* l4_src/l4_dst values (a, b), (a + 1, b - 31) and (a + 2, b - 62)
+           hash alike, so they share a bucket whatever its size. *)
+        let key k = [| 1000 + k; 2000 - (31 * k) |] in
+        check Alcotest.bool "the keys collide" true
+          (Eswitch.key_hash (key 0) = Eswitch.key_hash (key 1)
+          && Eswitch.key_hash (key 0) = Eswitch.key_hash (key 2));
+        let mk () =
+          let p = Pipeline.create ~num_tables:1 () in
+          List.iter
+            (fun k ->
+              let v = key k in
+              Flow_table.add (Pipeline.table p 0) ~now_ns:0
+                (Flow_entry.make ~priority:(10 + k)
+                   ~match_:Of_match.(any |> l4_src v.(0) |> l4_dst v.(1))
+                   [ Flow_entry.Apply_actions [ Of_action.output (k + 1) ] ]))
+            [ 0; 1 ];
+          p
+        in
+        let eswitch = Eswitch.create (mk ()) and reference = Ref_eswitch.create (mk ()) in
+        let oracle = mk () in
+        List.iter
+          (fun k ->
+            let v = key k in
+            let pkt =
+              Packet.udp ~dst:(mac 2) ~src:(mac 1) ~ip_src:(ip "10.0.0.1")
+                ~ip_dst:(ip "10.0.0.2") ~src_port:v.(0) ~dst_port:v.(1) "x"
+            in
+            let got, cycles = eswitch.Dataplane.process ~now_ns:0 ~in_port:0 pkt in
+            let want, want_cycles =
+              reference.Dataplane.process ~now_ns:0 ~in_port:0 pkt
+            in
+            let what = Printf.sprintf "key %d" k in
+            check Alcotest.string (what ^ " = reference")
+              (Diff.render_result want) (Diff.render_result got);
+            check Alcotest.int (what ^ " cycles") want_cycles cycles;
+            check Alcotest.string (what ^ " = oracle")
+              (Diff.render_result
+                 (Check.Oracle.execute oracle ~now_ns:0 ~in_port:0 pkt))
+              (Diff.render_result got);
+            check Alcotest.(list int) (what ^ " output")
+              (if k < 2 then [ k + 1 ] else [])
+              (List.filter_map
+                 (function Pipeline.Port (p, _) -> Some p | _ -> None)
+                 got.Pipeline.outputs))
+          [ 0; 1; 2 ]);
+    tc "a frame without IPv4 misses an exact 255.255.255.255 rule" (fun () ->
+        (* The reference projected a missing address to -1l, which is
+           255.255.255.255, so it sent this ARP request out of port 1. *)
+        let mk () =
+          let p = Pipeline.create ~num_tables:1 () in
+          Flow_table.add (Pipeline.table p 0) ~now_ns:0
+            (Flow_entry.make ~priority:10
+               ~match_:
+                 Of_match.(any |> ip_dst (Ipv4_addr.Prefix.make Ipv4_addr.broadcast 32))
+               [ Flow_entry.Apply_actions [ Of_action.output 1 ] ]);
+          p
+        in
+        let pkt =
+          Packet.arp_request ~src_mac:(mac 1) ~src_ip:(ip "10.0.0.1")
+            ~target_ip:(ip "10.0.0.2")
+        in
+        let dp = Eswitch.create (mk ()) in
+        let got, _ = dp.Dataplane.process ~now_ns:0 ~in_port:0 pkt in
+        check Alcotest.string "eswitch = oracle"
+          (Diff.render_result (Check.Oracle.execute (mk ()) ~now_ns:0 ~in_port:0 pkt))
+          (Diff.render_result got);
+        check Alcotest.bool "table miss" true got.Pipeline.table_miss);
+  ]
+
 let suite =
   [
     ("softswitch.equivalence", equivalence_tests);
     ("softswitch.random_equivalence", random_equivalence_tests);
+    ("softswitch.eswitch_reference", eswitch_reference_tests);
     ("softswitch.caches", cache_tests);
     ("softswitch.pmd", pmd_tests);
     ("softswitch.agent", agent_tests);
